@@ -17,7 +17,7 @@ from .model import (ComponentPmf, FitDiagnostics, LpmModel, TrainOptions,
 from .selection import (GoodnessOfFit, SelectionCurve, chi2_per_dof,
                         chi2_statistic, select_components)
 from .synth import GroundTruth, SynthSpec, default_scenarios, generate
-from .validation import LooReport, leave_one_out, models_built_count
+from .validation import LooReport, leave_one_out
 
 __all__ = [
     "BinningConfig", "Histogram2D", "SignalRecord", "VoxelRecord",
@@ -29,5 +29,5 @@ __all__ = [
     "QuantityCovariance", "ResponseResult", "combine_cohort",
     "control_consistency", "fit_and_score", "quantity_covariance",
     "response_result", "GroundTruth", "SynthSpec", "default_scenarios",
-    "generate", "LooReport", "leave_one_out", "models_built_count",
+    "generate", "LooReport", "leave_one_out",
 ]

@@ -18,8 +18,8 @@ from pathlib import Path
 from . import baseline as baseline_mod
 from . import svgplots
 from .errors import InputFormatError, LpmError, SelectionFailedError
-from .histograms import (BinningConfig, bin_voxels, load_signal_csv,
-                         load_voxel_csv, read_histogram_json,
+from .histograms import (BinningConfig, Histogram2D, bin_voxels,
+                         load_signal_csv, load_voxel_csv,
                          write_histogram_json, write_voxel_csv)
 from .inference import combine_cohort, fit_and_score
 from .model import TrainOptions, read_model_json, train_control, \
@@ -66,12 +66,20 @@ def _write_json(path: Path, payload: dict, meta: dict):
 
 
 def _load_histograms(directory):
-    paths = sorted(Path(directory).glob("*.json"))
+    """Histograms from every JSON object with a "counts" key in a directory.
+
+    Other JSON files (ingest summaries, ground truth, models) are skipped.
+    """
     hists = []
-    for p in paths:
-        if p.name in ("ingest_summary.json", "ground_truth.json"):
+    for p in sorted(Path(directory).glob("*.json")):
+        with open(p) as fh:
+            d = json.load(fh)
+        if not isinstance(d, dict) or "counts" not in d:
             continue
-        hists.append(read_histogram_json(p))
+        try:
+            hists.append(Histogram2D.from_json_dict(d))
+        except KeyError as exc:
+            raise InputFormatError(f"{p}: histogram lacks key {exc}") from None
     if not hists:
         raise InputFormatError(f"no histogram JSON files in {directory}")
     return hists

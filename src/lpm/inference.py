@@ -50,7 +50,6 @@ class CohortSummary:
     per_tumor: list
     combined_z: float
     combined_p: float
-    method: str = "stouffer"
 
 
 def two_tailed_p(z: float) -> float:
@@ -62,7 +61,7 @@ def quantity_covariance(model: LpmModel, h, q, chi2: GoodnessOfFit,
     """Propagate per-cell Poisson errors into the quantity covariance."""
     q = np.asarray(q, dtype=float)
     K = model.n_components
-    P = model.pmf_matrix()
+    P = model.P
     H = h.counts.reshape(-1).astype(float)
     M = P @ q
     if np.any((H > 0) & (M <= 0)):

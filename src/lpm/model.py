@@ -14,7 +14,9 @@ Q have shape (S, K). The multiplicative fixed-point updates
     P[:, k] <- P[:, k] * (R.T @ Q)[:, k]  (renormalised, trainable k only)
 
 with M = Q @ P.T and R = H / M never leave the non-negative cone and never
-decrease the objective.
+decrease the objective. One routine, _em, runs them for both training
+phases and for per-histogram quantity fits; they differ only in which PMF
+columns are frozen (all of them for a quantity fit).
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ class TrainOptions:
 
 @dataclass
 class ComponentPmf:
+    """One component PMF on the grid, as a synthetic-cohort specification."""
+
     probs: np.ndarray  # (n_adc_bins, 2), sums to 1
     phase: str  # "control" | "treatment"
     index: int
@@ -58,61 +62,78 @@ class FitDiagnostics:
     log_likelihood: float
     n_iterations: int
     converged: bool
-    restart_index: int = 0
 
 
 @dataclass
 class LpmModel:
-    components: list  # ComponentPmf, control first then treatment
+    """Column PMFs P (n_cells, K), control columns first, then treatment.
+
+    P is stored C-contiguous and read-only: frozen columns cannot be written
+    through the model, and every fit multiplies the same layout.
+    """
+
+    P: np.ndarray
     n_control: int
-    n_treatment: int
     binning: BinningConfig
     training_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.n_control < 1 or self.n_treatment < 0:
-            raise ValueError("need n_control >= 1 and n_treatment >= 0")
-        if len(self.components) != self.n_control + self.n_treatment:
-            raise ValueError("component count does not match n_control + n_treatment")
-        for i, comp in enumerate(self.components):
-            expected_phase = "control" if i < self.n_control else "treatment"
-            if comp.phase != expected_phase:
-                raise ValueError(f"component {i} has phase {comp.phase!r}, "
-                                 f"expected {expected_phase!r}")
-            if comp.probs.shape != (self.binning.n_adc_bins, 2):
-                raise ValueError("component grid does not match binning")
+        P = np.array(self.P, dtype=float, order="C")
+        if P.ndim != 2 or P.shape[0] != self.binning.n_cells:
+            raise ValueError(f"PMF matrix shape {P.shape} does not match "
+                             f"{self.binning.n_cells} binning cells")
+        if not 1 <= self.n_control <= P.shape[1]:
+            raise ValueError(f"need 1 <= n_control <= {P.shape[1]}, "
+                             f"got {self.n_control}")
+        if np.any(P < 0):
+            raise ValueError("PMF cells must be non-negative")
+        sums = P.sum(axis=0)
+        if np.any(np.abs(sums - 1.0) > 1e-9):
+            raise ValueError(f"PMF columns must sum to 1, got {sums}")
+        P.flags.writeable = False
+        self.P = P
 
     @property
     def n_components(self) -> int:
-        return self.n_control + self.n_treatment
+        return self.P.shape[1]
+
+    @property
+    def n_treatment(self) -> int:
+        return self.n_components - self.n_control
 
     @property
     def treatment_slice(self) -> slice:
         return slice(self.n_control, self.n_components)
 
-    def pmf_matrix(self) -> np.ndarray:
-        """Column-stacked flattened PMFs, shape (n_cells, K)."""
-        return np.column_stack([c.probs.reshape(-1) for c in self.components])
+    @property
+    def phases(self) -> list:
+        return ["control"] * self.n_control + ["treatment"] * self.n_treatment
 
     def to_json_dict(self):
+        grid = (self.binning.n_adc_bins, 2)
         return {
             "binning": self.binning.to_json_dict(),
             "n_control": self.n_control,
             "n_treatment": self.n_treatment,
-            "components": [{"phase": c.phase, "probs": c.probs.tolist()}
-                           for c in self.components],
+            "components": [{"phase": phase, "probs": self.P[:, k].reshape(grid).tolist()}
+                           for k, phase in enumerate(self.phases)],
             "training_meta": self.training_meta,
         }
 
     @classmethod
     def from_json_dict(cls, d) -> "LpmModel":
         binning = BinningConfig.from_json_dict(d["binning"])
-        comps = [ComponentPmf(probs=np.asarray(c["probs"], dtype=float),
-                              phase=c["phase"], index=i)
-                 for i, c in enumerate(d["components"])]
-        return cls(components=comps, n_control=d["n_control"],
-                   n_treatment=d["n_treatment"], binning=binning,
-                   training_meta=d.get("training_meta", {}))
+        comps = d["components"]
+        probs = np.array([c["probs"] for c in comps], dtype=float)
+        if probs.shape[1:] != (binning.n_adc_bins, 2):
+            raise ValueError("component grid does not match binning")
+        model = cls(P=probs.reshape(len(comps), -1).T, n_control=d["n_control"],
+                    binning=binning, training_meta=d.get("training_meta", {}))
+        phases = [c["phase"] for c in comps]
+        if phases != model.phases or d["n_treatment"] != model.n_treatment:
+            raise ValueError(f"component phases {phases} do not match "
+                             f"{d['n_control']} control + {d['n_treatment']} treatment")
+        return model
 
 
 @dataclass
@@ -133,47 +154,52 @@ def read_model_json(path) -> LpmModel:
         return LpmModel.from_json_dict(json.load(fh))
 
 
-def _loglik(H, P, Q):
-    """Extended likelihood: sum H*ln(M) - sum Q, over all histograms."""
-    M = np.maximum(Q @ P.T, _M_FLOOR)
-    mask = H > 0
-    return float(np.sum(H[mask] * np.log(M[mask])) - Q.sum())
-
-
 def _em(H, P, Q, trainable, max_iter, tol, rng=None):
     """Run the multiplicative EM updates to convergence.
 
-    H: (S, n_cells) counts; P: (n_cells, K) column-normalised PMFs;
-    Q: (S, K) quantities; trainable: boolean mask over components whose
-    PMF columns may move. Returns (P, Q, diagnostics, degenerate_flag).
+    H: (S, n_cells) counts; P: (n_cells, K) column-normalised PMFs, updated
+    in place; Q: (S, K) quantities; trainable: boolean mask over components
+    whose PMF columns may move (none for a quantity-only fit). With rng,
+    trainable components that collapse are re-seeded once. The objective is
+    the extended likelihood sum H*ln(M) - sum Q, taken from the expectation
+    M = Q @ P.T that the next Q-step reuses. Returns (P, Q, diagnostics,
+    degenerate_flag).
     """
     H = np.asarray(H, dtype=float)
+    populated = H > 0
+    H_populated = H[populated]
     total_counts = H.sum()
-    prev = _loglik(H, P, Q)
+    train_cols = np.flatnonzero(trainable)
+
+    def expectation():
+        return np.maximum(Q @ P.T, _M_FLOOR)
+
+    def objective():
+        return float(np.sum(H_populated * np.log(M[populated])) - Q.sum())
+
+    M = expectation()
+    prev = objective()
     converged = False
     reseeded = set()
     degenerate = False
     it = 0
     for it in range(1, max_iter + 1):
-        M = np.maximum(Q @ P.T, _M_FLOOR)
-        R = H / M
-        Q = Q * (R @ P)
-        if trainable.any():
-            M = np.maximum(Q @ P.T, _M_FLOOR)
-            R = H / M
-            W = R.T @ Q  # (n_cells, K)
-            P_new = P * W
+        Q = Q * ((H / M) @ P)
+        M = expectation()
+        if train_cols.size:
+            P_new = P * ((H / M).T @ Q)
             colsum = P_new.sum(axis=0)
-            for k in np.flatnonzero(trainable):
+            for k in train_cols:
                 if colsum[k] > 0:
                     P[:, k] = P_new[:, k] / colsum[k]
-        cur = _loglik(H, P, Q)
+            M = expectation()
+        cur = objective()
         if cur < prev - 1e-6 * max(1.0, abs(prev)):
             raise RuntimeError(f"EM objective decreased: {prev} -> {cur}")
         if abs(cur - prev) <= tol * max(1.0, abs(prev)):
             # check trainable components for collapse before accepting
             mass = Q.sum(axis=0)
-            weak = [k for k in np.flatnonzero(trainable)
+            weak = [k for k in train_cols
                     if mass[k] < _DEGENERACY_FRACTION * total_counts]
             if weak and rng is not None and not reseeded.issuperset(weak):
                 for k in weak:
@@ -182,14 +208,14 @@ def _em(H, P, Q, trainable, max_iter, tol, rng=None):
                         continue
                     reseeded.add(k)
                     # re-seed from residual-weighted draw
-                    M = np.maximum(Q @ P.T, _M_FLOOR)
                     resid = np.maximum(H - M, 0).sum(axis=0)
                     if resid.sum() <= 0:
                         resid = np.ones(P.shape[0])
                     probs = resid / resid.sum()
                     P[:, k] = rng.dirichlet(probs * P.shape[0] + 0.5)
                     Q[:, k] = H.sum(axis=1) / P.shape[1]
-                prev = _loglik(H, P, Q)
+                    M = expectation()
+                prev = objective()
                 continue
             if weak:
                 degenerate = True
@@ -198,7 +224,7 @@ def _em(H, P, Q, trainable, max_iter, tol, rng=None):
             break
         prev = cur
     diag = FitDiagnostics(log_likelihood=prev, n_iterations=it,
-                          converged=converged, restart_index=0)
+                          converged=converged)
     return P, Q, diag, degenerate
 
 
@@ -211,7 +237,7 @@ def _stack(cohort, binning):
     return np.stack([h.counts.reshape(-1).astype(float) for h in cohort])
 
 
-def _best_restart(H, n_cells, k_total, init_P, opts):
+def _best_restart(H, k_total, init_P, opts):
     """Run opts.restarts EM fits from random inits, keep the best likelihood."""
     best = None
     for r in range(opts.restarts):
@@ -220,7 +246,6 @@ def _best_restart(H, n_cells, k_total, init_P, opts):
         Q = np.full((H.shape[0], k_total), 1.0, dtype=float)
         Q *= (H.sum(axis=1) / k_total)[:, None]
         P, Q, diag, degenerate = _em(H, P, Q, trainable, opts.max_iter, opts.tol, rng)
-        diag.restart_index = r
         if best is None or diag.log_likelihood > best[2].log_likelihood:
             best = (P, Q, diag, degenerate)
     return best
@@ -241,15 +266,13 @@ def train_control(cohort, n_control: int, opts: TrainOptions = TrainOptions()) -
                              for _ in range(n_control)])
         return P, np.ones(n_control, dtype=bool)
 
-    P, Q, diag, degenerate = _best_restart(H, n_cells, n_control, init_P, opts)
-    comps = [ComponentPmf(probs=P[:, k].reshape(binning.n_adc_bins, 2),
-                          phase="control", index=k) for k in range(n_control)]
+    P, Q, diag, degenerate = _best_restart(H, n_control, init_P, opts)
     meta = {"seed": opts.seed, "restarts": opts.restarts,
             "iterations": diag.n_iterations, "final_loglik": diag.log_likelihood,
             "converged": diag.converged, "degenerate": degenerate,
             "phase": "control"}
-    model = LpmModel(components=comps, n_control=n_control, n_treatment=0,
-                     binning=binning, training_meta=meta)
+    model = LpmModel(P=P, n_control=n_control, binning=binning,
+                     training_meta=meta)
     quantities = {h.tumor_id: Q[i].copy() for i, h in enumerate(cohort)}
     return TrainResult(model=model, quantities=quantities, diagnostics=diag)
 
@@ -285,6 +308,8 @@ def train_treatment(control_model: LpmModel, cohort, n_treatment: int,
     """
     if control_model.n_treatment != 0:
         raise ValueError("base model already has treatment components")
+    if n_treatment < 1:
+        raise ValueError("n_treatment must be >= 1")
     if not cohort:
         raise EmptyInputError("treated cohort is empty")
     binning = control_model.binning
@@ -292,17 +317,7 @@ def train_treatment(control_model: LpmModel, cohort, n_treatment: int,
     n_cells = binning.n_cells
     n_control = control_model.n_control
     k_total = n_control + n_treatment
-    P_control = control_model.pmf_matrix()
-
-    if n_treatment == 0:
-        quantities = {}
-        diag = None
-        for h in cohort:
-            q, d = fit_quantities(control_model, h)
-            quantities[h.tumor_id] = q
-            diag = d
-        return TrainResult(model=control_model, quantities=quantities,
-                           diagnostics=diag)
+    P_control = control_model.P
 
     # Treatment components describe variability the control model cannot
     # absorb. Random inits land anywhere on the likelihood ridge where a
@@ -327,23 +342,17 @@ def train_treatment(control_model: LpmModel, cohort, n_treatment: int,
         trainable[n_control:] = True
         return P, trainable
 
-    P, Q, diag, degenerate = _best_restart(H, n_cells, k_total, init_P, opts)
+    P, Q, diag, degenerate = _best_restart(H, k_total, init_P, opts)
     if not np.array_equal(P[:, :n_control], P_control):
         raise RuntimeError("control components changed during treatment training")
-    P = _purify_treatment(P, n_control)
-    comps = list(control_model.components)
-    comps += [ComponentPmf(probs=P[:, k].reshape(binning.n_adc_bins, 2),
-                           phase="treatment", index=k)
-              for k in range(n_control, k_total)]
     meta = dict(control_model.training_meta)
     meta.update({"treatment_seed": opts.seed, "treatment_restarts": opts.restarts,
                  "treatment_iterations": diag.n_iterations,
                  "treatment_final_loglik": diag.log_likelihood,
                  "treatment_converged": diag.converged,
                  "treatment_degenerate": degenerate, "phase": "full"})
-    model = LpmModel(components=comps, n_control=n_control,
-                     n_treatment=n_treatment, binning=binning,
-                     training_meta=meta)
+    model = LpmModel(P=_purify_treatment(P, n_control), n_control=n_control,
+                     binning=binning, training_meta=meta)
     # purification moved quantities between components; refit them so the
     # reported values are maximum likelihood under the final PMFs
     quantities = {}
@@ -365,27 +374,15 @@ def fit_quantities(model: LpmModel, h: Histogram2D, max_iter: int = 200000,
         raise BinningMismatchError(f"tumor {h.tumor_id}: binning differs from model")
     if h.total == 0:
         raise EmptyInputError(f"tumor {h.tumor_id}: empty histogram")
-    P = model.pmf_matrix()
     hv = h.counts.reshape(-1).astype(float)
     K = model.n_components
     if q_init is None:
         q = np.full(K, hv.sum() / K)
     else:
-        q = np.asarray(q_init, dtype=float).copy()
-    prev = _loglik(hv[None, :], P, q[None, :])
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        M = np.maximum(P @ q, _M_FLOOR)
-        q = q * (P.T @ (hv / M))
-        cur = _loglik(hv[None, :], P, q[None, :])
-        if abs(cur - prev) <= tol * max(1.0, abs(prev)):
-            converged = True
-            prev = cur
-            break
-        prev = cur
-    diag = FitDiagnostics(log_likelihood=prev, n_iterations=it, converged=converged)
-    return q, diag
+        q = np.asarray(q_init, dtype=float)
+    _, Q, diag, _ = _em(hv[None, :], model.P, q[None, :],
+                        np.zeros(K, dtype=bool), max_iter, tol)
+    return Q[0], diag
 
 
 def model_expectation(model: LpmModel, q) -> np.ndarray:
@@ -393,5 +390,4 @@ def model_expectation(model: LpmModel, q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape != (model.n_components,):
         raise ValueError(f"expected {model.n_components} quantities, got {q.shape}")
-    P = model.pmf_matrix()
-    return (P @ q).reshape(model.binning.n_adc_bins, 2)
+    return (model.P @ q).reshape(model.binning.n_adc_bins, 2)

@@ -79,13 +79,11 @@ def chi2_per_dof(histograms, model: LpmModel, quantities,
     active = 0
     union = np.zeros(model.binning.n_cells, dtype=bool)
     for h in histograms:
-        q = quantities[h.tumor_id]
-        M = model_expectation(model, q).reshape(-1)
-        H = h.counts.reshape(-1).astype(float)
-        mask = (H + M) > 0
-        raw += float(np.sum((np.sqrt(H[mask]) - np.sqrt(M[mask])) ** 2) / SQRT_VARIANCE)
-        active += int(mask.sum())
-        union |= mask
+        M = model_expectation(model, quantities[h.tumor_id])
+        gof = chi2_statistic(h.counts, M)
+        raw += gof.raw_chi2
+        active += gof.dof
+        union |= (h.counts + M).reshape(-1) > 0
     # PMF cells outside the cohort's populated support are unconstrained by
     # the data, so they do not count as effective free parameters
     free = n_trainable_components * (int(union.sum()) - 1)

@@ -109,18 +109,20 @@ def pmf_heatstrip_svg(model) -> str:
     n_bins = model.binning.n_adc_bins
     strip_h = 26
     gap = 14
-    height = MARGIN + len(model.components) * 2 * (strip_h + 4) + gap * len(model.components) + MARGIN
+    n_comp = model.n_components
+    height = MARGIN + n_comp * 2 * (strip_h + 4) + gap * n_comp + MARGIN
     out = _header(WIDTH, height)
     out += _text(WIDTH / 2, 24, "Component PMFs (top: baseline, bottom: follow-up)", size=14)
     cell_w = (WIDTH - 2 * MARGIN) / n_bins
     y = MARGIN
-    for ci, comp in enumerate(model.components):
-        peak = comp.probs.max()
+    for ci, phase in enumerate(model.phases):
+        probs = model.P[:, ci].reshape(n_bins, 2)
+        peak = probs.max()
         color = _PALETTE[ci % len(_PALETTE)]
-        out += _text(MARGIN - 8, y + strip_h, f"{comp.phase} {ci}", size=10, anchor="end")
+        out += _text(MARGIN - 8, y + strip_h, f"{phase} {ci}", size=10, anchor="end")
         for t in range(2):
             for b in range(n_bins):
-                alpha = comp.probs[b, t] / peak if peak > 0 else 0.0
+                alpha = probs[b, t] / peak if peak > 0 else 0.0
                 out += (f'<rect x="{MARGIN + b * cell_w:.1f}" y="{y:.1f}" '
                         f'width="{cell_w:.1f}" height="{strip_h}" fill="{color}" '
                         f'fill-opacity="{alpha:.3f}" stroke="none"/>\n')

@@ -63,6 +63,9 @@ def leave_one_out(control_cohort, treated_cohort, n_control: int,
         raise EmptyInputError("leave-one-out needs at least 3 control tumors")
     if not treated_cohort:
         raise EmptyInputError("treated cohort is empty")
+    if n_treatment < 1:
+        raise LpmError("leave-one-out scores treatment response and needs "
+                       "n_treatment >= 1")
 
     full_model = _train_full(control_cohort, treated_cohort,
                              n_control, n_treatment, opts)
@@ -91,15 +94,6 @@ def leave_one_out(control_cohort, treated_cohort, n_control: int,
         entries.append(entry)
     return LooReport(entries=entries, outlier_flags=flags,
                      models_built=1 + len(control_cohort))
-
-
-def models_built_count(control_size: int, treated_present: bool, sweep_sizes) -> int:
-    """Total trainings needed: one per sweep candidate plus one per fold.
-
-    treated_present does not change the count; each fold retrains both
-    phases in a single pass.
-    """
-    return int(sum(sweep_sizes)) + int(control_size)
 
 
 def write_loo_csv(path, report: LooReport):

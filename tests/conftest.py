@@ -30,8 +30,8 @@ def make_model(binning, n_control=2, n_treatment=0, seed=0):
     comps = [make_pmf(binning, seed + k, "control", k) for k in range(n_control)]
     comps += [make_pmf(binning, seed + n_control + k, "treatment", n_control + k)
               for k in range(n_treatment)]
-    return LpmModel(components=comps, n_control=n_control,
-                    n_treatment=n_treatment, binning=binning)
+    return LpmModel(P=np.column_stack([c.probs.reshape(-1) for c in comps]),
+                    n_control=n_control, binning=binning)
 
 
 def poisson_histogram(model, q, seed, tumor_id="t1", cohort="control"):

@@ -13,8 +13,8 @@ from lpm.baseline import cohort_baseline, combine_tests
 from lpm.histograms import BinningConfig, Histogram2D
 from lpm.inference import (combine_cohort, fit_and_score, quantity_covariance,
                            two_tailed_p)
-from lpm.model import (ComponentPmf, LpmModel, TrainOptions, fit_quantities,
-                       model_expectation, train_control, train_treatment)
+from lpm.model import (LpmModel, TrainOptions, fit_quantities, model_expectation,
+                       train_control, train_treatment)
 from lpm.selection import GoodnessOfFit, select_components
 from lpm.synth import SynthSpec, bump_pmf, default_scenarios, generate
 from lpm.validation import leave_one_out
@@ -193,12 +193,12 @@ def test_criterion_06_model_selection(k_true):
 
 def _dense_model(binning, n_components, seed):
     rng = np.random.default_rng(seed)
-    comps = []
+    cols = []
     for k in range(n_components):
         g = rng.gamma(3.0, size=(binning.n_adc_bins, 2))
         g /= g.sum()
-        comps.append(ComponentPmf(probs=g, phase="control", index=k))
-    return LpmModel(components=comps, n_control=n_components, n_treatment=0,
+        cols.append(g.reshape(-1))
+    return LpmModel(P=np.column_stack(cols), n_control=n_components,
                     binning=binning)
 
 
@@ -217,7 +217,7 @@ def _solve_quantities_continuous(P, counts, q0):
 def test_criterion_07_jacobian_finite_difference():
     binning = BinningConfig(n_adc_bins=8)  # 16 grid cells
     model = _dense_model(binning, 2, seed=42)
-    P = model.pmf_matrix()
+    P = model.P
     q_true = np.array([3000.0, 5000.0])
     counts = np.random.default_rng(7).poisson(P @ q_true).astype(float)
 

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -61,6 +62,23 @@ class TestPipeline:
         assert (pipeline / "components.svg").read_text().startswith("<svg")
 
 
+class TestHistogramDirectory:
+    def test_model_in_histogram_dir_is_skipped(self, pipeline, tmp_path):
+        hist_dir = shutil.copytree(pipeline / "histograms", tmp_path / "h")
+        assert run(["train", "--histograms", hist_dir, "--n-control", "3",
+                    "--n-treatment", "2", "--out-dir", hist_dir] + FAST) == 0
+        assert run(["fit", "--model", hist_dir / "model.json",
+                    "--histograms", hist_dir, "--out-dir", tmp_path]) == 0
+
+    def test_histogram_missing_key_is_input_error(self, pipeline, tmp_path,
+                                                  capsys):
+        hist_dir = shutil.copytree(pipeline / "histograms", tmp_path / "h")
+        (hist_dir / "zz.json").write_text('{"counts": [[1, 2]]}')
+        assert run(["fit", "--model", pipeline / "model.json",
+                    "--histograms", hist_dir, "--out-dir", tmp_path]) == 2
+        assert "zz.json" in capsys.readouterr().err
+
+
 class TestIngest:
     def test_voxels_roundtrip(self, tmp_path):
         out = tmp_path / "synth"
@@ -106,6 +124,11 @@ class TestExitCodes:
 
     def test_unknown_preset_is_input_error(self, tmp_path):
         assert run(["synth", "--preset", "nope", "--out-dir", tmp_path]) == 2
+
+    def test_validate_without_treatment_is_input_error(self, pipeline, tmp_path):
+        assert run(["validate", "--histograms", pipeline / "histograms",
+                    "--n-control", "3", "--n-treatment", "0",
+                    "--out-dir", tmp_path] + FAST) == 2
 
     def test_report_missing_inputs_is_input_error(self, tmp_path):
         assert run(["report", "--model", tmp_path / "nope.json",

@@ -102,7 +102,6 @@ class TestCombineCohort:
     def test_stouffer_formula(self):
         s = combine_cohort([1.0, 1.0, 1.0, 1.0])
         assert s.combined_z == pytest.approx(2.0)
-        assert s.method == "stouffer"
 
     def test_single_value_passthrough(self):
         assert combine_cohort([3.0]).combined_z == pytest.approx(3.0)

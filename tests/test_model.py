@@ -24,17 +24,37 @@ class TestComponentPmf:
 
 class TestLpmModel:
     def test_phase_ordering_enforced(self, small_binning):
-        ctrl = make_pmf(small_binning, 0, "control", 0)
-        trt = make_pmf(small_binning, 1, "treatment", 1)
+        d = make_model(small_binning, n_control=1, n_treatment=1).to_json_dict()
+        d["components"].reverse()
         with pytest.raises(ValueError):
-            LpmModel(components=[trt, ctrl], n_control=1, n_treatment=1,
-                     binning=small_binning)
+            LpmModel.from_json_dict(d)
 
     def test_component_count_checked(self, small_binning):
         ctrl = make_pmf(small_binning, 0, "control", 0)
         with pytest.raises(ValueError):
-            LpmModel(components=[ctrl], n_control=2, n_treatment=0,
+            LpmModel(P=ctrl.probs.reshape(-1, 1), n_control=2,
                      binning=small_binning)
+        d = make_model(small_binning, n_control=2).to_json_dict()
+        d["n_control"] = 1
+        with pytest.raises(ValueError):
+            LpmModel.from_json_dict(d)
+
+    def test_pmf_matrix_validated(self, small_binning):
+        P = make_model(small_binning, n_control=2).P
+        with pytest.raises(ValueError):
+            LpmModel(P=P[:-2], n_control=2, binning=small_binning)
+        with pytest.raises(ValueError):
+            LpmModel(P=P * 1.1, n_control=2, binning=small_binning)
+        neg = P.copy()
+        neg[0, 0], neg[1, 0] = -neg[0, 0], neg[1, 0] + 2 * neg[0, 0]
+        with pytest.raises(ValueError):
+            LpmModel(P=neg, n_control=2, binning=small_binning)
+
+    def test_pmf_matrix_read_only(self, small_binning):
+        m = make_model(small_binning, n_control=2)
+        assert m.P.flags.c_contiguous
+        with pytest.raises(ValueError):
+            m.P[0, 0] = 0.5
 
     def test_treatment_slice(self, small_binning):
         m = make_model(small_binning, n_control=2, n_treatment=1)
@@ -43,7 +63,7 @@ class TestLpmModel:
 
     def test_pmf_matrix_columns_normalised(self, small_binning):
         m = make_model(small_binning, n_control=2, n_treatment=1)
-        P = m.pmf_matrix()
+        P = m.P
         assert P.shape == (16, 3)
         assert np.allclose(P.sum(axis=0), 1.0)
 
@@ -53,7 +73,7 @@ class TestLpmModel:
         write_model_json(path, m)
         back = read_model_json(path)
         assert back.n_control == 2 and back.n_treatment == 1
-        assert np.array_equal(back.pmf_matrix(), m.pmf_matrix())
+        assert np.array_equal(back.P, m.P)
 
 
 class TestFitQuantities:
@@ -110,7 +130,7 @@ class TestTrainControl:
         result = train_control(cohort, 2, opts)
         m = result.model
         assert m.n_control == 2 and m.n_treatment == 0
-        assert np.allclose(m.pmf_matrix().sum(axis=0), 1.0)
+        assert np.allclose(m.P.sum(axis=0), 1.0)
         assert set(result.quantities) == {f"c{i}" for i in range(4)}
         for h in cohort:
             assert result.quantities[h.tumor_id].sum() == pytest.approx(
@@ -124,7 +144,7 @@ class TestTrainControl:
         opts = TrainOptions(seed=7, restarts=2, max_iter=1000)
         a = train_control(cohort, 2, opts)
         b = train_control(cohort, 2, opts)
-        assert np.array_equal(a.model.pmf_matrix(), b.model.pmf_matrix())
+        assert np.array_equal(a.model.P, b.model.P)
         for tid in a.quantities:
             assert np.array_equal(a.quantities[tid], b.quantities[tid])
 
@@ -150,9 +170,7 @@ class TestTrainTreatment:
 
     def test_control_components_frozen_bitwise(self, trained):
         base, full, _ = trained
-        P_base = base.model.pmf_matrix()
-        P_full = full.model.pmf_matrix()
-        assert np.array_equal(P_full[:, :2], P_base)
+        assert np.array_equal(full.model.P[:, :2], base.model.P)
 
     def test_treatment_component_added(self, trained):
         _, full, treated = trained
@@ -161,17 +179,10 @@ class TestTrainTreatment:
         for h in treated:
             assert full.quantities[h.tumor_id].shape == (3,)
 
-    def test_zero_treatment_components_refits_quantities(self, small_binning):
-        truth = make_model(small_binning, n_control=2, seed=3)
-        cohort = [poisson_histogram(truth, np.array([4000.0, 2000.0]),
-                                    seed=i, tumor_id=f"c{i}")
-                  for i in range(3)]
-        opts = TrainOptions(seed=0, restarts=2, max_iter=2000)
-        base = train_control(cohort, 2, opts)
-        again = train_treatment(base.model, cohort, 0, opts)
-        assert again.model is base.model
-        for tid, q in base.quantities.items():
-            assert np.allclose(again.quantities[tid], q, rtol=1e-2)
+    def test_needs_treatment_components(self, trained):
+        base, _, treated = trained
+        with pytest.raises(ValueError):
+            train_treatment(base.model, treated, 0)
 
     def test_rejects_base_with_treatment(self, trained):
         _, full, treated = trained

@@ -71,7 +71,7 @@ class TestChi2PerDof:
         union = np.zeros(small_binning.n_cells, dtype=bool)
         for h in cohort:
             H = h.counts.reshape(-1)
-            M = model.pmf_matrix() @ quantities[h.tumor_id]
+            M = model.P @ quantities[h.tumor_id]
             union |= (H + M) > 0
         assert base.dof - trained.dof == int(union.sum()) - 1
 

@@ -2,17 +2,11 @@ import csv
 
 import pytest
 
-from lpm.errors import EmptyInputError
+from lpm.errors import EmptyInputError, LpmError
 from lpm.histograms import BinningConfig
 from lpm.model import TrainOptions
 from lpm.synth import SynthSpec, bump_pmf, generate, spread_components
-from lpm.validation import leave_one_out, models_built_count, write_loo_csv
-
-
-class TestModelsBuiltCount:
-    def test_sweep_plus_folds(self):
-        assert models_built_count(8, True, [6, 4]) == 18
-        assert models_built_count(3, False, []) == 3
+from lpm.validation import leave_one_out, write_loo_csv
 
 
 @pytest.fixture(scope="module")
@@ -80,3 +74,13 @@ class TestLeaveOneOut:
         control, _, _ = generate(spec)
         with pytest.raises(EmptyInputError):
             leave_one_out(control, [], 1, 1)
+
+    def test_needs_treatment_components(self):
+        binning = BinningConfig()
+        ctrl, trt = spread_components(binning, 1, 1)
+        spec = SynthSpec(binning=binning, control_pmfs=ctrl,
+                         treatment_pmfs=trt, cohort_sizes=(3, 2),
+                         counts_per_tumor=2000.0, seed=0)
+        control, treated, _ = generate(spec)
+        with pytest.raises(LpmError, match="n_treatment"):
+            leave_one_out(control, treated, 1, 0)
