@@ -6,8 +6,8 @@ responding-volume fractions with propagated errors, Z-scores and P-values,
 alongside a conventional t-test benchmark.
 """
 
-from .histograms import (BinningConfig, Histogram2D, SignalRecord, VoxelRecord,
-                         bin_voxels, fit_adc, load_signal_csv, load_voxel_csv)
+from .histograms import (BinningConfig, Histogram2D, VoxelTable, bin_voxels,
+                         fit_adc, load_signal_csv, load_voxel_csv)
 from .inference import (CohortSummary, QuantityCovariance, ResponseResult,
                         combine_cohort, control_consistency, fit_and_score,
                         quantity_covariance, response_result)
@@ -20,8 +20,8 @@ from .synth import GroundTruth, SynthSpec, default_scenarios, generate
 from .validation import LooReport, leave_one_out
 
 __all__ = [
-    "BinningConfig", "Histogram2D", "SignalRecord", "VoxelRecord",
-    "bin_voxels", "fit_adc", "load_signal_csv", "load_voxel_csv",
+    "BinningConfig", "Histogram2D", "VoxelTable", "bin_voxels", "fit_adc",
+    "load_signal_csv", "load_voxel_csv",
     "ComponentPmf", "FitDiagnostics", "LpmModel", "TrainOptions",
     "TrainResult", "fit_quantities", "model_expectation", "train_control",
     "train_treatment", "GoodnessOfFit", "SelectionCurve", "chi2_per_dof",

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
-from scipy.stats import t as t_dist
 
 from .errors import DegenerateVarianceError, EmptyInputError, UndefinedSummaryError
 from .histograms import Histogram2D
@@ -96,10 +94,22 @@ def welch_t_test(control_changes, treated_changes) -> TTestResult:
     sb = vb / len(b)
     stat = (b.mean() - a.mean()) / math.sqrt(sa + sb)
     dof = (sa + sb) ** 2 / (sa ** 2 / (len(a) - 1) + sb ** 2 / (len(b) - 1))
-    p = float(min(1.0, 2.0 * t_dist.sf(abs(stat), dof)))
-    z = float(math.copysign(norm.isf(p / 2.0), stat)) if p < 1.0 else 0.0
+    p, z = t_test_p_and_z(stat, dof)
     return TTestResult(statistic=float(stat), dof=float(dof),
                        p_two_tailed=p, z_equivalent=z)
+
+
+def t_test_p_and_z(stat, dof):
+    """Two-tailed p of a t statistic and the normal z with the same p and sign.
+
+    p = 2 * t.sf(|stat|, dof), capped at 1, and z = norm.isf(p / 2); scipy.stats
+    computes t.sf(x, dof) as stdtr(dof, -x) and norm.isf(q) as -ndtri(q).
+    """
+    from scipy.special import ndtri, stdtr
+
+    p = float(min(1.0, 2.0 * stdtr(dof, -abs(stat))))
+    z = float(math.copysign(-ndtri(p / 2.0), stat)) if p < 1.0 else 0.0
+    return p, z
 
 
 def combine_tests(results) -> float:

@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import baseline as baseline_mod
@@ -72,14 +73,19 @@ def _load_histograms(directory):
     """
     hists = []
     for p in sorted(Path(directory).glob("*.json")):
-        with open(p) as fh:
-            d = json.load(fh)
+        try:
+            with open(p) as fh:
+                d = json.load(fh)
+        except ValueError as exc:
+            raise InputFormatError(f"{p}: not valid JSON: {exc}") from None
         if not isinstance(d, dict) or "counts" not in d:
             continue
         try:
             hists.append(Histogram2D.from_json_dict(d))
         except KeyError as exc:
             raise InputFormatError(f"{p}: histogram lacks key {exc}") from None
+        except (ValueError, TypeError) as exc:
+            raise InputFormatError(f"{p}: malformed histogram: {exc}") from None
     if not hists:
         raise InputFormatError(f"no histogram JSON files in {directory}")
     return hists
@@ -149,10 +155,8 @@ def cmd_synth(args) -> int:
         "n_treatment_components": truth.n_treatment_components,
     }, meta)
     if args.emit_voxels:
-        records = []
-        for h in control + treated:
-            records.extend(histogram_to_voxels(h))
-        write_voxel_csv(out / "voxels.csv", records)
+        write_voxel_csv(out / "voxels.csv",
+                        chain.from_iterable(map(histogram_to_voxels, control + treated)))
     print(f"generated {len(control)} control + {len(treated)} treated tumors")
     return EXIT_OK
 

@@ -3,6 +3,10 @@
 The histogram grid is (ADC bin x timepoint), with timepoint 0 = baseline and
 timepoint 1 = follow-up. Bins are half-open [lo, hi); the last bin is closed
 so adc_max itself still lands in-grid.
+
+Voxels are held as columns (``VoxelTable``): CSV files are read in chunks of
+records, each chunk's fields are mapped to integer codes and float arrays in
+bulk, and binning is a single ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -10,7 +14,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -23,6 +30,12 @@ TIMEPOINTS = ("baseline", "followup")
 _TIMEPOINT_LABELS = {"0": "baseline", "72": "followup",
                      "baseline": "baseline", "followup": "followup"}
 _TIMEPOINT_HOURS = {"baseline": "0", "followup": "72"}
+_TIMEPOINT_CODES = {label: TIMEPOINTS.index(name)
+                    for label, name in _TIMEPOINT_LABELS.items()}
+_COHORT_CODES = {name: k for k, name in enumerate(COHORTS)}
+
+_CHUNK_ROWS = 2048  # CSV records parsed per chunk
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 
 @dataclass(frozen=True)
@@ -62,9 +75,7 @@ class BinningConfig:
         """Bin for an ADC value, or None when outside [adc_min, adc_max]."""
         if adc < self.adc_min or adc > self.adc_max:
             return None
-        if adc == self.adc_max:  # closed last bin
-            return self.n_adc_bins - 1
-        return int((adc - self.adc_min) / self.width)
+        return min(int((adc - self.adc_min) / self.width), self.n_adc_bins - 1)
 
     def to_json_dict(self):
         return {"adc_min": self.adc_min, "adc_max": self.adc_max,
@@ -76,36 +87,43 @@ class BinningConfig:
                    n_adc_bins=d["n_adc_bins"])
 
 
-@dataclass(frozen=True)
-class VoxelRecord:
-    tumor_id: str
-    cohort: str
-    timepoint: str
-    adc: float
+@dataclass(frozen=True, eq=False)
+class VoxelTable:
+    """Accepted voxels as columns; voxel i is (tumor[i], timepoint[i], adc[i])."""
 
-    def __post_init__(self):
-        if self.cohort not in COHORTS:
-            raise ValueError(f"unknown cohort {self.cohort!r}")
-        if self.timepoint not in TIMEPOINTS:
-            raise ValueError(f"unknown timepoint {self.timepoint!r}")
-        if not (math.isfinite(self.adc) and self.adc > 0):
-            raise ValueError(f"adc must be finite and > 0, got {self.adc}")
+    tumor: np.ndarray  # index into tumor_ids
+    timepoint: np.ndarray  # index into TIMEPOINTS
+    adc: np.ndarray  # finite and > 0 (mm^2/s)
+    tumor_ids: tuple
+    cohorts: tuple  # cohort of each tumor in tumor_ids
+
+    def __len__(self):
+        return len(self.adc)
 
 
-@dataclass(frozen=True)
-class SignalRecord:
-    """Diffusion-weighted signals for one voxel at several b-values."""
+def _codes(values, code_of):
+    """Integer code of each value; code_of runs once per distinct value."""
+    table = {v: code_of(v) for v in dict.fromkeys(values)}
+    return np.fromiter(map(table.__getitem__, values), np.intp, len(values))
 
-    b_values: tuple
-    signals: tuple
 
-    def __post_init__(self):
-        if len(self.b_values) != len(self.signals):
-            raise ValueError("b_values and signals must have the same length")
-        if len(set(self.b_values)) < 2:
-            raise DegenerateDesignError("need at least 2 distinct b-values")
-        if any(b < 0 for b in self.b_values):
-            raise ValueError("b-values must be non-negative")
+def _voxel_table(tumor, cohort, timepoint, adc, ids, path):
+    """Assemble a VoxelTable, keeping only tumors that have voxels.
+
+    cohort holds each voxel's cohort code; a tumor must have one cohort.
+    """
+    n = np.bincount(tumor, minlength=len(ids))
+    n_treated = np.bincount(tumor[cohort == 1], minlength=len(ids))
+    mixed = [ids[k] for k in np.flatnonzero((n_treated > 0) & (n_treated < n))]
+    if mixed:
+        raise InputFormatError(f"{path}: tumor {min(mixed)!r} is listed as both "
+                               f"control and treated")
+    keep = np.flatnonzero(n > 0)
+    code = np.zeros(len(ids), dtype=np.intp)
+    code[keep] = np.arange(len(keep))
+    return VoxelTable(tumor=code[tumor], timepoint=timepoint, adc=adc,
+                      tumor_ids=tuple(ids[k] for k in keep),
+                      cohorts=tuple(COHORTS[int(n_treated[k] > 0)] for k in keep))
 
 
 @dataclass
@@ -149,155 +167,261 @@ class Histogram2D:
                    overflow=int(d.get("overflow", 0)))
 
 
-def fit_adc(record: SignalRecord) -> float:
-    """ADC from a mono-exponential signal decay, by log-linear least squares.
+# failed checks of a signal group, in the order they are tested
+_GROUP_PROBLEMS = (None,
+                   (DegenerateDesignError, "need at least 2 distinct b-values"),
+                   (ValueError, "b-values must be non-negative"),
+                   (ValueError, "signals must be positive for the log-linear fit"),
+                   (ValueError, "b-values and signals must be finite"))
 
-    Fits ln(S) = ln(S0) - b*D and returns D (mm^2/s).
+
+def _fit_groups(group, b, s, n_groups):
+    """Log-linear least squares ln(S) = ln(S0) - b*D for every group at once.
+
+    group[i] in [0, n_groups) names the voxel of sample (b[i], s[i]). The
+    slope comes from centred sums, each one np.bincount over all samples.
+    Returns (D, S0, problem): problem[g] indexes _GROUP_PROBLEMS, 0 when
+    group g passed every check.
     """
-    d, _ = fit_adc_with_s0(record)
+    b_lo = np.full(n_groups, np.inf)
+    b_hi = np.full(n_groups, -np.inf)
+    s_lo = np.full(n_groups, np.inf)
+    np.fmin.at(b_lo, group, b)
+    np.fmax.at(b_hi, group, b)
+    np.fmin.at(s_lo, group, s)
+    finite = np.bincount(group, ~(np.isfinite(b) & np.isfinite(s)), n_groups) == 0
+    problem = np.select([~(b_lo < b_hi), b_lo < 0, s_lo <= 0, ~finite], [1, 2, 3, 4], 0)
+    n = np.bincount(group, minlength=n_groups)
+    y = np.log(np.where(s > 0, s, 1.0))
+    with np.errstate(all="ignore"):  # rejected groups may divide by zero
+        b_mean = np.bincount(group, b, n_groups) / n
+        y_mean = np.bincount(group, y, n_groups) / n
+        db = b - b_mean[group]
+        slope = (np.bincount(group, db * (y - y_mean[group]), n_groups)
+                 / np.bincount(group, db * db, n_groups))
+        return -slope, np.exp(y_mean - slope * b_mean), problem
+
+
+def fit_adc(b_values, signals) -> float:
+    """ADC of one voxel from a mono-exponential signal decay.
+
+    Fits ln(S) = ln(S0) - b*D by least squares and returns D (mm^2/s).
+    Fewer than two distinct b-values raise DegenerateDesignError; negative
+    b-values, non-positive signals or non-finite values raise ValueError.
+    """
+    d, _ = fit_adc_with_s0(b_values, signals)
     return d
 
 
-def fit_adc_with_s0(record: SignalRecord):
+def fit_adc_with_s0(b_values, signals):
     """Like fit_adc but also returns the estimated zero-b signal S0."""
-    s = np.asarray(record.signals, dtype=float)
-    if np.any(s <= 0):
-        raise ValueError("signals must be positive for the log-linear fit")
-    b = np.asarray(record.b_values, dtype=float)
-    slope, intercept = np.polyfit(b, np.log(s), 1)
-    return -float(slope), float(np.exp(intercept))
+    b = np.asarray(b_values, dtype=float)
+    s = np.asarray(signals, dtype=float)
+    if b.ndim != 1 or b.shape != s.shape:
+        raise ValueError("b_values and signals must have the same length")
+    d, s0, problem = _fit_groups(np.zeros(b.size, dtype=np.intp), b, s, 1)
+    if problem[0]:
+        error, message = _GROUP_PROBLEMS[problem[0]]
+        raise error(message)
+    return float(d[0]), float(s0[0])
 
 
-def bin_voxels(records, config: BinningConfig):
-    """Bin voxel records into one Histogram2D per tumor.
+def bin_voxels(table: VoxelTable, config: BinningConfig):
+    """Bin a voxel table into one Histogram2D per tumor, sorted by tumor id.
 
     Out-of-range ADC values are tallied into each histogram's ``overflow``
     field rather than dropped. Tumors with voxels at only one timepoint get
     a warning attached.
     """
-    if not records:
+    if len(table) == 0:
         raise EmptyInputError("no voxel records to bin")
-    grids: dict = {}
-    for rec in records:
-        key = rec.tumor_id
-        if key not in grids:
-            grids[key] = {"cohort": rec.cohort,
-                          "counts": np.zeros((config.n_adc_bins, 2), dtype=np.int64),
-                          "overflow": 0}
-        entry = grids[key]
-        if entry["cohort"] != rec.cohort:
-            raise ValueError(f"tumor {key!r} has inconsistent cohort labels")
-        t = TIMEPOINTS.index(rec.timepoint)
-        i = config.bin_index(rec.adc)
-        if i is None:
-            entry["overflow"] += 1
-        else:
-            entry["counts"][i, t] += 1
+    nb = config.n_adc_bins
+    adc = table.adc
+    # int() of the bin coordinate, the closed last bin, and slot nb for overflow
+    bins = np.clip((adc - config.adc_min) / config.width, 0, nb - 1).astype(np.intp)
+    bins[(adc < config.adc_min) | (adc > config.adc_max)] = nb
+    n_tumors = len(table.tumor_ids)
+    counts = np.bincount((table.tumor * (nb + 1) + bins) * 2 + table.timepoint,
+                         minlength=n_tumors * (nb + 1) * 2).reshape(n_tumors, nb + 1, 2)
     out = {}
-    for tumor_id, entry in sorted(grids.items()):
+    for k in sorted(range(n_tumors), key=table.tumor_ids.__getitem__):
+        tumor_id = table.tumor_ids[k]
+        grid = counts[k, :nb]
         warnings = ()
-        per_t = entry["counts"].sum(axis=0)
-        if per_t[0] == 0 or per_t[1] == 0:
+        if grid.sum(axis=0).min() == 0:
             warnings = (f"tumor {tumor_id}: voxels at only one timepoint",)
-        out[tumor_id] = Histogram2D(tumor_id=tumor_id, cohort=entry["cohort"],
-                                    counts=entry["counts"], binning=config,
-                                    overflow=entry["overflow"], warnings=warnings)
+        out[tumor_id] = Histogram2D(tumor_id=tumor_id, cohort=table.cohorts[k],
+                                    counts=grid, binning=config,
+                                    overflow=int(counts[k, nb].sum()), warnings=warnings)
     return out
 
 
 @dataclass
 class VoxelLoadResult:
-    records: list = field(default_factory=list)
-    errors: list = field(default_factory=list)  # (line_number, message)
+    records: VoxelTable  # the accepted voxels
+    errors: list  # (line_number, message), in file order
 
 
 _VOXEL_COLUMNS = ["tumor_id", "cohort", "timepoint", "adc"]
 
 
-def load_voxel_csv(path) -> VoxelLoadResult:
-    """Load voxel records; malformed rows are reported with line numbers."""
-    result = VoxelLoadResult()
+def _csv_chunks(path, columns):
+    """Stream a CSV file in chunks of at most _CHUNK_ROWS records.
+
+    Yields (lines, fields, short) per chunk: the line number of each record
+    with every requested field, one list of raw strings per requested
+    column, and (line, message) for the records that lack one. Blank lines
+    are skipped. A record's line number is the physical line it ends on.
+    """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise InputFormatError(f"{path}: empty file")
-        missing = [c for c in _VOXEL_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise InputFormatError(f"{path}: missing columns {missing}")
-        for row in reader:
-            line = reader.line_num
-            try:
-                timepoint = _TIMEPOINT_LABELS.get(row["timepoint"].strip())
-                if timepoint is None:
-                    raise ValueError(f"unknown timepoint {row['timepoint']!r}")
-                rec = VoxelRecord(tumor_id=row["tumor_id"].strip(),
-                                  cohort=row["cohort"].strip(),
-                                  timepoint=timepoint,
-                                  adc=float(row["adc"]))
-            except (ValueError, KeyError, TypeError) as exc:
-                result.errors.append((line, str(exc)))
-                continue
-            result.records.append(rec)
-    return result
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise InputFormatError(f"{path}: empty file")
+            index = {name: i for i, name in enumerate(header)}
+            missing = [c for c in columns if c not in index]
+            if missing:
+                raise InputFormatError(f"{path}: missing columns {missing}")
+            wanted = [index[c] for c in columns]
+            width = max(wanted) + 1
+            start = reader.line_num
+            while rows := list(islice(reader, _CHUNK_ROWS)):
+                lines = _record_lines(rows, start, reader.line_num)
+                start = reader.line_num
+                short = []
+                if min(map(len, rows)) < width:
+                    short = [(int(line), "missing fields "
+                              f"{[c for c, i in zip(columns, wanted) if i >= len(row)]}")
+                             for line, row in zip(lines, rows) if 0 < len(row) < width]
+                    keep = [j for j, row in enumerate(rows) if len(row) >= width]
+                    rows = [rows[j] for j in keep]
+                    lines = lines[keep]
+                yield lines, [list(map(itemgetter(i), rows)) for i in wanted], short
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise InputFormatError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def write_voxel_csv(path, records):
+def _record_lines(rows, start, end):
+    """Line number of each record read from lines start+1 .. end."""
+    if end - start == len(rows):
+        return np.arange(start + 1, end + 1)
+    # some records span lines through quoted line breaks
+    spans = [1 + sum(len(_LINE_BREAK.findall(f)) for f in row) for row in rows]
+    return start + np.cumsum(spans)
+
+
+def _floats(values):
+    """(floats, mask of the values float() rejects, those set to NaN)."""
+    try:
+        return (np.fromiter(map(float, values), float, len(values)),
+                np.zeros(len(values), dtype=bool))
+    except ValueError:
+        failed = np.array([_float_error(v) is not None for v in values])
+        return np.array([math.nan if f else float(v) for v, f in zip(values, failed)]), failed
+
+
+def _float_error(value):
+    """float()'s message for a value it rejects, else None."""
+    try:
+        float(value)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _voxel_problem(timepoint, cohort, adc):
+    """Why a voxel was rejected, by the first check its raw fields fail."""
+    if timepoint.strip() not in _TIMEPOINT_LABELS:
+        return f"unknown timepoint {timepoint!r}"
+    message = _float_error(adc)
+    if message is not None:
+        return message
+    if cohort.strip() not in _COHORT_CODES:
+        return f"unknown cohort {cohort.strip()!r}"
+    return f"adc must be finite and > 0, got {float(adc)}"
+
+
+def _cat(parts, dtype):
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+
+
+def load_voxel_csv(path) -> VoxelLoadResult:
+    """Load a voxel CSV as a VoxelTable; malformed rows are reported with line numbers.
+
+    A tumor listed under both cohorts raises InputFormatError.
+    """
+    errors = []
+    index = {}  # tumor id -> code
+    parts = ([], [], [], [])
+    for lines, (tumor, cohort, timepoint, adc), short in _csv_chunks(path, _VOXEL_COLUMNS):
+        t = _codes(timepoint, lambda v: _TIMEPOINT_CODES.get(v.strip(), -1))
+        c = _codes(cohort, lambda v: _COHORT_CODES.get(v.strip(), -1))
+        k = _codes(tumor, lambda v: index.setdefault(v.strip(), len(index)))
+        x, _ = _floats(adc)
+        ok = (t >= 0) & (c >= 0) & np.isfinite(x) & (x > 0)
+        bad = [(int(lines[j]), _voxel_problem(timepoint[j], cohort[j], adc[j]))
+               for j in np.flatnonzero(~ok)]
+        errors.extend(sorted(short + bad))
+        for part, column in zip(parts, (k, c, t, x)):
+            part.append(column[ok])
+    k, c, t = (_cat(p, np.intp) for p in parts[:3])
+    table = _voxel_table(k, c, t, _cat(parts[3], float), list(index), path)
+    return VoxelLoadResult(records=table, errors=errors)
+
+
+def write_voxel_csv(path, rows):
+    """Write (tumor_id, cohort, timepoint, adc) rows, timepoints as hour labels."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_VOXEL_COLUMNS)
-        for rec in records:
-            writer.writerow([rec.tumor_id, rec.cohort,
-                             _TIMEPOINT_HOURS[rec.timepoint], repr(rec.adc)])
+        writer.writerows((tumor_id, cohort, _TIMEPOINT_HOURS[timepoint], repr(adc))
+                         for tumor_id, cohort, timepoint, adc in rows)
 
 
 _SIGNAL_COLUMNS = ["tumor_id", "cohort", "timepoint", "voxel_id", "b", "signal"]
 
 
 def load_signal_csv(path) -> VoxelLoadResult:
-    """Load a signal CSV and convert each voxel group to a VoxelRecord.
+    """Load a signal CSV and fit each voxel group's ADC into a VoxelTable.
 
-    Rows are grouped by (tumor_id, cohort, timepoint, voxel_id); each group
-    is fitted with fit_adc. Groups that fail validation are reported under
-    the line number of their first row.
+    Rows are grouped by (tumor_id, cohort, timepoint, voxel_id) and every
+    group is fitted in one pass. Rows whose b or signal does not parse are
+    reported first, then groups that fail validation, under the line number
+    of their first row.
     """
-    groups: dict = {}
-    first_line: dict = {}
-    result = VoxelLoadResult()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise InputFormatError(f"{path}: empty file")
-        missing = [c for c in _SIGNAL_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise InputFormatError(f"{path}: missing columns {missing}")
-        for row in reader:
-            line = reader.line_num
-            try:
-                key = (row["tumor_id"].strip(), row["cohort"].strip(),
-                       row["timepoint"].strip(), row["voxel_id"].strip())
-                b = float(row["b"])
-                signal = float(row["signal"])
-            except (ValueError, KeyError, TypeError) as exc:
-                result.errors.append((line, str(exc)))
-                continue
-            groups.setdefault(key, []).append((b, signal))
-            first_line.setdefault(key, line)
-    for key, pairs in groups.items():
-        tumor_id, cohort, timepoint_label, _ = key
-        line = first_line[key]
-        try:
-            rec = SignalRecord(b_values=tuple(p[0] for p in pairs),
-                               signals=tuple(p[1] for p in pairs))
-            adc = fit_adc(rec)
-            timepoint = _TIMEPOINT_LABELS.get(timepoint_label)
-            if timepoint is None:
-                raise ValueError(f"unknown timepoint {timepoint_label!r}")
-            result.records.append(VoxelRecord(tumor_id=tumor_id, cohort=cohort,
-                                              timepoint=timepoint, adc=adc))
-        except (ValueError, DegenerateDesignError) as exc:
-            result.errors.append((line, str(exc)))
-    result.records.sort(key=lambda r: (r.tumor_id, r.timepoint, r.adc))
-    return result
+    errors = []
+    groups = {}  # (tumor_id, cohort, timepoint, voxel_id) -> group code
+    parts = ([], [], [], [])
+    for lines, (*key, b_raw, s_raw), short in _csv_chunks(path, _SIGNAL_COLUMNS):
+        b, b_bad = _floats(b_raw)
+        s, s_bad = _floats(s_raw)
+        ok = ~(b_bad | s_bad)
+        bad = [(int(lines[j]), _float_error(b_raw[j]) or _float_error(s_raw[j]))
+               for j in np.flatnonzero(~ok)]
+        errors.extend(sorted(short + bad))
+        good = np.flatnonzero(ok)
+        keys = list(zip(*(map(str.strip, column) for column in key)))
+        if len(good) < len(keys):
+            keys = [keys[j] for j in good]
+        g = _codes(keys, lambda v: groups.setdefault(v, len(groups)))
+        for part, column in zip(parts, (g, lines[ok], b[ok], s[ok])):
+            part.append(column)
+    group, lines = _cat(parts[0], np.intp), _cat(parts[1], np.intp)
+    adc, _, problem = _fit_groups(group, _cat(parts[2], float), _cat(parts[3], float),
+                                  len(groups))
+    first_line = lines[np.unique(group, return_index=True)[1]]
+    tumor, cohort, timepoint, _ = zip(*groups) if groups else ((),) * 4
+    t = _codes(timepoint, lambda v: _TIMEPOINT_CODES.get(v, -1))
+    c = _codes(cohort, lambda v: _COHORT_CODES.get(v, -1))
+    ok = (problem == 0) & (t >= 0) & (c >= 0) & np.isfinite(adc) & (adc > 0)
+    errors.extend((int(first_line[j]), _GROUP_PROBLEMS[problem[j]][1] if problem[j]
+                   else _voxel_problem(timepoint[j], cohort[j], repr(float(adc[j]))))
+                  for j in np.flatnonzero(~ok))
+    index = {}
+    k = _codes(tumor, lambda v: index.setdefault(v, len(index)))
+    table = _voxel_table(k[ok], c[ok], t[ok], adc[ok], list(index), path)
+    return VoxelLoadResult(records=table, errors=errors)
 
 
 def write_histogram_json(path, h: Histogram2D):

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import EmptyInputError, LpmError
 from .model import LpmModel, fit_quantities, model_expectation
@@ -53,7 +52,10 @@ class CohortSummary:
 
 
 def two_tailed_p(z: float) -> float:
-    return float(min(1.0, 2.0 * norm.sf(abs(z))))
+    """2 * norm.sf(|z|), capped at 1; scipy.stats computes norm.sf(x) as ndtr(-x)."""
+    from scipy.special import ndtr
+
+    return float(min(1.0, 2.0 * ndtr(-abs(z))))
 
 
 def quantity_covariance(model: LpmModel, h, q, chi2: GoodnessOfFit,

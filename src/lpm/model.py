@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BinningMismatchError, EmptyInputError
+from .errors import BinningMismatchError, EmptyInputError, InputFormatError
 from .histograms import BinningConfig, Histogram2D
 
 _M_FLOOR = 1e-300
@@ -150,8 +150,14 @@ def write_model_json(path, model: LpmModel):
 
 
 def read_model_json(path) -> LpmModel:
-    with open(path) as fh:
-        return LpmModel.from_json_dict(json.load(fh))
+    """Model from a model.json file; a malformed file is an InputFormatError."""
+    try:
+        with open(path) as fh:
+            return LpmModel.from_json_dict(json.load(fh))
+    except KeyError as exc:
+        raise InputFormatError(f"{path}: model lacks key {exc}") from None
+    except (ValueError, TypeError, IndexError) as exc:
+        raise InputFormatError(f"{path}: malformed model: {exc}") from None
 
 
 def _em(H, P, Q, trainable, max_iter, tol, rng=None):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError
-from .histograms import BinningConfig, Histogram2D, VoxelRecord
+from .histograms import TIMEPOINTS, BinningConfig, Histogram2D
 from .model import ComponentPmf
 
 
@@ -160,20 +160,16 @@ def default_scenarios(seed: int = 0) -> dict:
 
 
 def histogram_to_voxels(h: Histogram2D):
-    """Expand a histogram back into voxel records at bin centers.
+    """Expand a histogram into (tumor_id, cohort, timepoint, adc) voxel rows.
 
-    Deterministic; bin centers map back into the same bins, so ingesting
-    the records reproduces the histogram exactly.
+    Every voxel sits at its bin center. Deterministic; bin centers map back
+    into the same bins, so ingesting the rows reproduces the histogram
+    exactly.
     """
-    from .histograms import TIMEPOINTS
-
     if h.total == 0:
         raise EmptyInputError(f"tumor {h.tumor_id}: empty histogram")
-    centers = h.binning.centers
-    records = []
-    for i in range(h.binning.n_adc_bins):
+    rows = []
+    for i, center in enumerate(h.binning.centers.tolist()):
         for t, timepoint in enumerate(TIMEPOINTS):
-            records.extend(VoxelRecord(tumor_id=h.tumor_id, cohort=h.cohort,
-                                       timepoint=timepoint, adc=float(centers[i]))
-                           for _ in range(int(h.counts[i, t])))
-    return records
+            rows.extend([(h.tumor_id, h.cohort, timepoint, center)] * int(h.counts[i, t]))
+    return rows

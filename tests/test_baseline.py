@@ -1,14 +1,17 @@
 import csv
+import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from lpm.baseline import (cohort_baseline, combine_tests, summarise,
-                          summary_change, welch_t_test, write_baseline_csv)
+                          summary_change, t_test_p_and_z, welch_t_test,
+                          write_baseline_csv)
 from lpm.errors import (DegenerateVarianceError, EmptyInputError,
                         UndefinedSummaryError)
 from lpm.histograms import Histogram2D
+from lpm.inference import two_tailed_p
 
 
 def make_hist(binning, baseline_col, followup_col, tumor_id="t1",
@@ -78,6 +81,20 @@ class TestWelchTTest:
         ref = stats.ttest_ind(b, a, equal_var=False)
         assert ours.statistic == pytest.approx(ref.statistic)
         assert ours.p_two_tailed == pytest.approx(ref.pvalue)
+
+    def test_p_and_z_bitwise_equal_to_scipy_stats(self):
+        """scipy.special stands in for scipy.stats without changing a bit."""
+        magnitudes = [0.0, 5e-324, 1e-300, 1e-12, 0.3, 1.959964, 6.5, 8.3,
+                      37.0, 38.6, 1e3, 1e10, float("inf")]
+        values = magnitudes + [-m for m in magnitudes]
+        for z in values:
+            expected = float(min(1.0, 2.0 * stats.norm.sf(abs(z))))
+            assert repr(two_tailed_p(z)) == repr(expected), z
+        for dof in [0.5, 1.0, 1.5, 2.7, 7.25, 16.0, 30.5, 1e3, 1e8]:
+            for t in values:
+                p = float(min(1.0, 2.0 * stats.t.sf(abs(t), dof)))
+                z = float(math.copysign(stats.norm.isf(p / 2.0), t)) if p < 1.0 else 0.0
+                assert repr(t_test_p_and_z(t, dof)) == repr((p, z)), (t, dof)
 
     def test_z_equivalent_sign_and_scale(self):
         r = welch_t_test([0.0, 0.1, -0.1, 0.05], [2.0, 2.1, 1.9, 2.05])

@@ -1,8 +1,13 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lpm
 from lpm.cli import main
 
 FAST = ["--restarts", "1", "--max-iter", "800", "--tol", "1e-8"]
@@ -78,6 +83,34 @@ class TestHistogramDirectory:
                     "--histograms", hist_dir, "--out-dir", tmp_path]) == 2
         assert "zz.json" in capsys.readouterr().err
 
+    def test_truncated_histogram_is_input_error(self, pipeline, tmp_path,
+                                                capsys):
+        hist_dir = shutil.copytree(pipeline / "histograms", tmp_path / "h")
+        text = (hist_dir / "trt01.json").read_text()
+        (hist_dir / "trt01.json").write_text(text[:len(text) // 2])
+        assert run(["baseline", "--histograms", hist_dir,
+                    "--out-dir", tmp_path]) == 2
+        assert "trt01.json" in capsys.readouterr().err
+
+
+class TestModelFile:
+    def test_reversed_components_is_input_error(self, pipeline, tmp_path,
+                                                capsys):
+        model = json.loads((pipeline / "model.json").read_text())
+        model["components"].reverse()
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        assert run(["fit", "--model", path, "--histograms",
+                    pipeline / "histograms", "--out-dir", tmp_path]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_truncated_model_is_input_error(self, pipeline, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text((pipeline / "model.json").read_text()[:100])
+        assert run(["fit", "--model", path, "--histograms",
+                    pipeline / "histograms", "--out-dir", tmp_path]) == 2
+        assert str(path) in capsys.readouterr().err
+
 
 class TestIngest:
     def test_voxels_roundtrip(self, tmp_path):
@@ -110,6 +143,34 @@ class TestIngest:
         path.write_text("tumor_id,cohort,timepoint,adc\n"
                         "t1,control,0,banana\n")
         assert run(["ingest", "--voxels", path, "--out-dir", tmp_path]) == 2
+
+    def test_row_with_missing_fields_is_rejected_row(self, tmp_path):
+        path = tmp_path / "voxels.csv"
+        path.write_text("tumor_id,cohort,timepoint,adc\n"
+                        "t1,control,0,0.001\n"
+                        "t1,control\n"
+                        "t1,control,72,0.002\n")
+        assert run(["ingest", "--voxels", path, "--out-dir", tmp_path]) == 0
+        summary = json.loads((tmp_path / "ingest_summary.json").read_text())
+        assert summary["rejected_rows"] == [
+            {"line": 3, "message": "missing fields ['timepoint', 'adc']"}]
+        assert summary["tumors"]["t1"]["voxels"] == 2
+
+    @pytest.mark.parametrize("kind", ["voxels", "signals"])
+    def test_tumor_in_both_cohorts_is_input_error(self, tmp_path, capsys, kind):
+        path = tmp_path / f"{kind}.csv"
+        if kind == "voxels":
+            path.write_text("tumor_id,cohort,timepoint,adc\n"
+                            "t7,control,0,0.001\n"
+                            "t7,treated,72,0.002\n")
+        else:
+            path.write_text("tumor_id,cohort,timepoint,voxel_id,b,signal\n"
+                            "t7,control,0,v1,0,1000\n"
+                            "t7,control,0,v1,500,600\n"
+                            "t7,treated,72,v2,0,1000\n"
+                            "t7,treated,72,v2,500,600\n")
+        assert run(["ingest", f"--{kind}", path, "--out-dir", tmp_path]) == 2
+        assert "'t7'" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -172,3 +233,37 @@ class TestDeterminism:
             assert p.read_bytes() == q.read_bytes()
         assert ((outs[0] / "ground_truth.json").read_bytes()
                 == (outs[1] / "ground_truth.json").read_bytes())
+
+
+def _scipy_modules_after(tmp_path, code):
+    """scipy modules a fresh interpreter has loaded after running code."""
+    script = tmp_path / "probe.py"
+    script.write_text("import sys\n" + code + "\n"
+                      "print('scipy modules:', *(m for m in sys.modules"
+                      " if m == 'scipy' or m.startswith('scipy.')))\n")
+    src = str(Path(lpm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, str(script)], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, check=True)
+    return done.stdout.splitlines()[-1].split()[2:]
+
+
+class TestStartup:
+    def test_cli_import_loads_no_scipy_stats(self, tmp_path):
+        loaded = _scipy_modules_after(tmp_path, "import lpm.cli")
+        assert not [m for m in loaded if m.startswith("scipy.stats")]
+
+    def test_ingest_loads_no_scipy(self, tmp_path):
+        path = tmp_path / "voxels.csv"
+        path.write_text("tumor_id,cohort,timepoint,adc\n"
+                        "t1,control,0,0.001\nt1,control,72,0.002\n")
+        code = ("from lpm.cli import main\n"
+                "for argv in (['ingest', '--help'],\n"
+                "             ['ingest', '--voxels', 'voxels.csv', '--out-dir', 'out']):\n"
+                "    try:\n"
+                "        main(argv)\n"
+                "    except SystemExit:\n"
+                "        pass")
+        assert _scipy_modules_after(tmp_path, code) == []
+        assert (tmp_path / "out" / "histograms" / "t1.json").is_file()

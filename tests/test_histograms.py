@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from lpm import histograms
 from lpm.errors import (DegenerateDesignError, EmptyInputError,
                         InputFormatError)
-from lpm.histograms import (BinningConfig, Histogram2D, SignalRecord,
-                            VoxelRecord, bin_voxels, fit_adc, fit_adc_with_s0,
-                            load_signal_csv, load_voxel_csv,
-                            read_histogram_json, write_histogram_json,
-                            write_voxel_csv)
+from lpm.histograms import (TIMEPOINTS, BinningConfig, Histogram2D, bin_voxels,
+                            fit_adc, fit_adc_with_s0, load_signal_csv,
+                            load_voxel_csv, read_histogram_json,
+                            write_histogram_json, write_voxel_csv)
 
 
 class TestBinningConfig:
@@ -51,10 +51,23 @@ class TestBinningConfig:
         assert BinningConfig.from_json_dict(binning.to_json_dict()) == binning
 
 
+def load_rows(tmp_path, rows):
+    """load_voxel_csv on a file of (tumor_id, cohort, timepoint, adc) rows."""
+    path = tmp_path / "voxels.csv"
+    path.write_text("tumor_id,cohort,timepoint,adc\n"
+                    + "".join(f"{t},{c},{tp},{a!r}\n" for t, c, tp, a in rows))
+    return load_voxel_csv(path)
+
+
 class TestVoxelRecord:
-    def test_valid(self):
-        VoxelRecord(tumor_id="t1", cohort="control", timepoint="baseline",
-                    adc=1e-3)
+    """One (tumor_id, cohort, timepoint, adc) row as load_voxel_csv checks it."""
+
+    def test_valid(self, tmp_path):
+        loaded = load_rows(tmp_path, [("t1", "control", "baseline", 1e-3)])
+        assert loaded.errors == []
+        assert len(loaded.records) == 1
+        assert loaded.records.tumor_ids == ("t1",)
+        assert loaded.records.cohorts == ("control",)
 
     @pytest.mark.parametrize("kwargs", [
         {"cohort": "placebo"},
@@ -64,26 +77,29 @@ class TestVoxelRecord:
         {"adc": float("nan")},
         {"adc": float("inf")},
     ])
-    def test_invalid(self, kwargs):
+    def test_invalid(self, tmp_path, kwargs):
         base = {"tumor_id": "t1", "cohort": "control",
                 "timepoint": "baseline", "adc": 1e-3}
         base.update(kwargs)
-        with pytest.raises(ValueError):
-            VoxelRecord(**base)
+        loaded = load_rows(tmp_path, [tuple(base.values())])
+        assert len(loaded.records) == 0
+        assert [line for line, _ in loaded.errors] == [2]
 
 
 class TestSignalRecord:
+    """One voxel's b-values and signals as fit_adc checks them."""
+
     def test_needs_two_distinct_b(self):
         with pytest.raises(DegenerateDesignError):
-            SignalRecord(b_values=(100.0, 100.0), signals=(1.0, 1.0))
+            fit_adc((100.0, 100.0), (1.0, 1.0))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            SignalRecord(b_values=(0.0, 100.0), signals=(1.0,))
+            fit_adc((0.0, 100.0), (1.0,))
 
     def test_negative_b(self):
         with pytest.raises(ValueError):
-            SignalRecord(b_values=(-1.0, 100.0), signals=(1.0, 0.9))
+            fit_adc((-1.0, 100.0), (1.0, 0.9))
 
 
 class TestFitAdc:
@@ -91,19 +107,21 @@ class TestFitAdc:
         d_true, s0_true = 1.1e-3, 1500.0
         b = (0.0, 100.0, 500.0, 900.0)
         s = tuple(s0_true * math.exp(-bv * d_true) for bv in b)
-        d, s0 = fit_adc_with_s0(SignalRecord(b_values=b, signals=s))
+        d, s0 = fit_adc_with_s0(b, s)
         assert d == pytest.approx(d_true, rel=1e-10)
         assert s0 == pytest.approx(s0_true, rel=1e-10)
 
     def test_two_point_fit(self):
-        rec = SignalRecord(b_values=(0.0, 1000.0),
-                           signals=(1000.0, 1000.0 * math.exp(-1.0)))
-        assert fit_adc(rec) == pytest.approx(1e-3, rel=1e-10)
+        d = fit_adc((0.0, 1000.0), (1000.0, 1000.0 * math.exp(-1.0)))
+        assert d == pytest.approx(1e-3, rel=1e-10)
 
     def test_nonpositive_signal_rejected(self):
-        rec = SignalRecord(b_values=(0.0, 500.0), signals=(1000.0, 0.0))
         with pytest.raises(ValueError):
-            fit_adc(rec)
+            fit_adc((0.0, 500.0), (1000.0, 0.0))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            fit_adc((0.0, 500.0, 1000.0), (1000.0, float("nan"), 300.0))
 
 
 class TestHistogram2D:
@@ -140,59 +158,73 @@ class TestHistogram2D:
 
 
 class TestBinVoxels:
-    def test_basic_placement(self, binning):
+    def test_basic_placement(self, tmp_path, binning):
         w = binning.width
-        records = [
-            VoxelRecord("t1", "control", "baseline", 0.5 * w),
-            VoxelRecord("t1", "control", "baseline", 0.5 * w),
-            VoxelRecord("t1", "control", "followup", 2.5 * w),
-        ]
-        hists = bin_voxels(records, binning)
+        table = load_rows(tmp_path, [
+            ("t1", "control", "baseline", 0.5 * w),
+            ("t1", "control", "baseline", 0.5 * w),
+            ("t1", "control", "followup", 2.5 * w),
+        ]).records
+        hists = bin_voxels(table, binning)
         h = hists["t1"]
         assert h.counts[0, 0] == 2
         assert h.counts[2, 1] == 1
         assert h.total == 3
         assert h.warnings == ()
 
-    def test_overflow_tallied(self, binning):
-        records = [
-            VoxelRecord("t1", "control", "baseline", 1e-3),
-            VoxelRecord("t1", "control", "followup", 5e-3),  # out of range
-        ]
-        h = bin_voxels(records, binning)["t1"]
+    def test_overflow_tallied(self, tmp_path, binning):
+        table = load_rows(tmp_path, [
+            ("t1", "control", "baseline", 1e-3),
+            ("t1", "control", "followup", 5e-3),  # out of range
+        ]).records
+        h = bin_voxels(table, binning)["t1"]
         assert h.overflow == 1
         assert h.total == 1
 
-    def test_single_timepoint_warning(self, binning):
-        records = [VoxelRecord("t1", "control", "baseline", 1e-3)]
-        h = bin_voxels(records, binning)["t1"]
+    def test_single_timepoint_warning(self, tmp_path, binning):
+        table = load_rows(tmp_path, [("t1", "control", "baseline", 1e-3)]).records
+        h = bin_voxels(table, binning)["t1"]
         assert any("only one timepoint" in w for w in h.warnings)
 
-    def test_inconsistent_cohort_rejected(self, binning):
-        records = [VoxelRecord("t1", "control", "baseline", 1e-3),
-                   VoxelRecord("t1", "treated", "followup", 1e-3)]
-        with pytest.raises(ValueError):
-            bin_voxels(records, binning)
+    def test_inconsistent_cohort_rejected(self, tmp_path):
+        rows = [("t1", "control", "baseline", 1e-3),
+                ("t1", "treated", "followup", 1e-3)]
+        with pytest.raises(InputFormatError, match="'t1'"):
+            load_rows(tmp_path, rows)
 
-    def test_empty_input(self, binning):
+    def test_empty_input(self, tmp_path, binning):
         with pytest.raises(EmptyInputError):
-            bin_voxels([], binning)
+            bin_voxels(load_rows(tmp_path, []).records, binning)
 
-    def test_output_sorted_by_tumor(self, binning):
-        records = [VoxelRecord("zz", "control", "baseline", 1e-3),
-                   VoxelRecord("aa", "control", "baseline", 1e-3)]
-        assert list(bin_voxels(records, binning)) == ["aa", "zz"]
+    def test_output_sorted_by_tumor(self, tmp_path, binning):
+        table = load_rows(tmp_path, [("zz", "control", "baseline", 1e-3),
+                                     ("aa", "control", "baseline", 1e-3)]).records
+        assert list(bin_voxels(table, binning)) == ["aa", "zz"]
+
+    def test_matches_bin_index(self, tmp_path, binning):
+        w = binning.width
+        adc = [1e-9, w, w - 1e-12, 2.5 * w, binning.adc_max, binning.adc_max + 1e-9, 1.0]
+        table = load_rows(tmp_path, [("t1", "control", "baseline", a) for a in adc]).records
+        h = bin_voxels(table, binning)["t1"]
+        expected = np.zeros(binning.n_adc_bins, dtype=int)
+        for a in adc:
+            if binning.bin_index(a) is not None:
+                expected[binning.bin_index(a)] += 1
+        assert np.array_equal(h.counts[:, 0], expected)
+        assert h.overflow == 2
 
 
 class TestVoxelCsv:
     def test_roundtrip(self, tmp_path):
-        records = [VoxelRecord("t1", "control", "baseline", 1.25e-3),
-                   VoxelRecord("t1", "control", "followup", 2.5e-3)]
+        rows = [("t1", "control", "baseline", 1.25e-3),
+                ("t2", "treated", "followup", 2.5e-3)]
         path = tmp_path / "voxels.csv"
-        write_voxel_csv(path, records)
+        write_voxel_csv(path, rows)
         loaded = load_voxel_csv(path)
         assert loaded.errors == []
-        assert loaded.records == records
+        table = loaded.records
+        assert [(table.tumor_ids[k], table.cohorts[k], TIMEPOINTS[t], a)
+                for k, t, a in zip(table.tumor, table.timepoint, table.adc)] == rows
 
     def test_hour_labels_accepted(self, tmp_path):
         path = tmp_path / "voxels.csv"
@@ -200,7 +232,8 @@ class TestVoxelCsv:
                         "t1,control,0,0.001\n"
                         "t1,control,72,0.002\n")
         loaded = load_voxel_csv(path)
-        assert [r.timepoint for r in loaded.records] == ["baseline", "followup"]
+        assert [TIMEPOINTS[t] for t in loaded.records.timepoint] == ["baseline",
+                                                                     "followup"]
 
     def test_bad_rows_reported_with_line_numbers(self, tmp_path):
         path = tmp_path / "voxels.csv"
@@ -211,8 +244,35 @@ class TestVoxelCsv:
                         "t1,control,week9,0.001\n")
         loaded = load_voxel_csv(path)
         assert len(loaded.records) == 1
-        assert [line for line, _ in loaded.errors] == [3, 4, 5]
+        assert loaded.errors == [(3, "could not convert string to float: 'not_a_number'"),
+                                 (4, "unknown cohort 'placebo'"),
+                                 (5, "unknown timepoint 'week9'")]
 
+    def test_row_with_missing_fields_rejected(self, tmp_path):
+        path = tmp_path / "voxels.csv"
+        path.write_text("tumor_id,cohort,timepoint,adc\n"
+                        "t1,control\n"
+                        "\n"
+                        "t1,control,0,0.001\n"
+                        "t1,control,0\n")
+        loaded = load_voxel_csv(path)
+        assert len(loaded.records) == 1
+        assert loaded.errors == [(2, "missing fields ['timepoint', 'adc']"),
+                                 (5, "missing fields ['adc']")]
+
+    def test_chunks_and_quoted_line_breaks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(histograms, "_CHUNK_ROWS", 2)
+        path = tmp_path / "voxels.csv"
+        path.write_text("tumor_id,cohort,timepoint,adc\n"
+                        '"t\n1",control,0,0.001\n'
+                        "t2,control,0,0.001\n"
+                        "t2,control,0,-1\n"
+                        "t2,control,0,0.002\n"
+                        "t2,control,72,x\n")
+        loaded = load_voxel_csv(path)
+        assert loaded.records.tumor_ids == ("t\n1", "t2")
+        assert len(loaded.records) == 3
+        assert [line for line, _ in loaded.errors] == [5, 7]
     def test_missing_column(self, tmp_path):
         path = tmp_path / "voxels.csv"
         path.write_text("tumor_id,cohort,adc\nt1,control,0.001\n")
@@ -237,7 +297,7 @@ class TestSignalCsv:
         loaded = load_signal_csv(path)
         assert loaded.errors == []
         assert len(loaded.records) == 1
-        assert loaded.records[0].adc == pytest.approx(d, rel=1e-10)
+        assert loaded.records.adc[0] == pytest.approx(d, rel=1e-10)
 
     def test_degenerate_group_reported(self, tmp_path):
         path = tmp_path / "signals.csv"
@@ -245,6 +305,22 @@ class TestSignalCsv:
                         "t1,control,0,v1,500,900\n"
                         "t1,control,0,v1,500,901\n")
         loaded = load_signal_csv(path)
-        assert loaded.records == []
-        assert len(loaded.errors) == 1
-        assert loaded.errors[0][0] == 2
+        assert len(loaded.records) == 0
+        assert loaded.errors == [(2, "need at least 2 distinct b-values")]
+
+    def test_rows_then_groups_reported(self, tmp_path):
+        path = tmp_path / "signals.csv"
+        path.write_text("tumor_id,cohort,timepoint,voxel_id,b,signal\n"
+                        "t1,control,0,v1,0,1000\n"
+                        "t1,control,0,v2,0,1000\n"
+                        "t1,control,0,v1,500,600\n"
+                        "t1,control,0,v2,500,n/a\n"
+                        "t1,control,48,v3,0,1000\n"
+                        "t1,control,48,v3,500,600\n"
+                        "t1,control,0,v4\n")
+        loaded = load_signal_csv(path)
+        assert len(loaded.records) == 1
+        assert loaded.errors == [(5, "could not convert string to float: 'n/a'"),
+                                 (8, "missing fields ['b', 'signal']"),
+                                 (3, "need at least 2 distinct b-values"),
+                                 (6, "unknown timepoint '48'")]

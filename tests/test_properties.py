@@ -1,18 +1,30 @@
-"""Property tests for the EM solver and the model's JSON form.
+"""Property tests for the EM solver, the model's JSON form and CSV ingest.
 
 One routine, ``model._em``, runs both training phases and every per-tumor
 quantity fit; these properties hold for any trainable mask, including the
-all-frozen mask of a quantity fit.
+all-frozen mask of a quantity fit. Histograms expanded into voxel or signal
+CSV files bin back to the same counts, whatever the loaders' chunk size.
 """
 
+import csv
+import io
+import itertools
 import json
+import math
+import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpm.histograms import BinningConfig
+from lpm import histograms
+from lpm.histograms import (COHORTS, BinningConfig, Histogram2D, bin_voxels,
+                            load_signal_csv, load_voxel_csv, write_voxel_csv)
 from lpm.model import LpmModel, _em
+from lpm.synth import histogram_to_voxels
 
 MAX_ITER = 300
 TOL = 1e-9
@@ -90,3 +102,116 @@ def test_model_json_roundtrip_bitwise(n_bins, n_control, n_treatment, alpha, see
     assert np.array_equal(back.P, model.P)
     assert (back.n_control, back.n_treatment) == (n_control, n_treatment)
     assert json.dumps(back.to_json_dict(), indent=1, sort_keys=True) == text
+
+
+# ---------------------------------------------------------------------------
+# bin <-> voxel round trips through the CSV loaders
+
+B_VALUES = st.lists(st.sampled_from([0.0, 50.0, 250.0, 500.0, 800.0, 1000.0]),
+                    min_size=2, max_size=4, unique=True)
+# tumor ids with CSV specials; quoted line breaks make records span lines
+TUMOR_IDS = st.text(alphabet='ab1 ,"\n', min_size=1, max_size=5).filter(
+    lambda s: s == s.strip())
+
+
+@st.composite
+def cohorts(draw, ids=TUMOR_IDS):
+    """One to three non-empty random histograms on a random ADC grid."""
+    n_bins = draw(st.integers(2, 8))
+    adc_min = draw(st.sampled_from([0.0, 1e-4, 2.5e-4]))
+    binning = BinningConfig(adc_min=adc_min,
+                            adc_max=adc_min + draw(st.sampled_from([1e-3, 3e-3, 3.3e-3])),
+                            n_adc_bins=n_bins)
+    tumor_ids = draw(st.lists(ids, min_size=1, max_size=3, unique=True))
+    hists = []
+    for tumor_id in tumor_ids:
+        counts = np.array(draw(st.lists(st.integers(0, 4), min_size=2 * n_bins,
+                                        max_size=2 * n_bins)))
+        counts[draw(st.integers(0, 2 * n_bins - 1))] += 1
+        hists.append(Histogram2D(tumor_id=tumor_id, cohort=draw(st.sampled_from(COHORTS)),
+                                 counts=counts.reshape(n_bins, 2), binning=binning))
+    return binning, hists
+
+
+CHUNKS = st.sampled_from([1, 2, 3, 7, histograms._CHUNK_ROWS])
+
+
+def _assert_same_histograms(binned, hists):
+    assert list(binned) == sorted(h.tumor_id for h in hists)
+    for h in hists:
+        back = binned[h.tumor_id]
+        assert np.array_equal(back.counts, h.counts)
+        assert (back.cohort, back.overflow) == (h.cohort, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cohorts(), CHUNKS)
+def test_voxel_csv_roundtrip_bitwise(cohort, chunk):
+    binning, hists = cohort
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(histograms, "_CHUNK_ROWS", chunk):
+        path = Path(tmp) / "voxels.csv"
+        write_voxel_csv(path, itertools.chain.from_iterable(map(histogram_to_voxels, hists)))
+        loaded = load_voxel_csv(path)
+    assert loaded.errors == []
+    assert len(loaded.records) == sum(h.total for h in hists)
+    _assert_same_histograms(bin_voxels(loaded.records, binning), hists)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cohorts(), B_VALUES, st.sampled_from([1.0, 1500.0]), CHUNKS)
+def test_signals_at_bin_centres_bin_back(cohort, b_values, s0, chunk):
+    binning, hists = cohort
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(histograms, "_CHUNK_ROWS", chunk):
+        path = Path(tmp) / "signals.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["tumor_id", "cohort", "timepoint", "voxel_id", "b", "signal"])
+            for h in hists:
+                for v, (tumor_id, cohort_, timepoint, adc) in enumerate(histogram_to_voxels(h)):
+                    writer.writerows([tumor_id, cohort_, timepoint, f"v{v}", repr(b),
+                                      repr(s0 * math.exp(-b * adc))] for b in b_values)
+        loaded = load_signal_csv(path)
+    assert loaded.errors == []
+    _assert_same_histograms(bin_voxels(loaded.records, binning), hists)
+
+
+def _csv_text(row):
+    """One record as csv.writer writes it."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow(row)
+    return buffer.getvalue()
+
+
+BAD_ROWS = ["{t},{c},48,0.001", "{t},{c},0,n/a", "{t},{c},72,-0.001", "{t},{c},0,0",
+            "{t},{c},72,nan", "{t},{c},0,inf", "{t},placebo,0,0.001", "{t},{c}",
+            "{t},{c},72,"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(cohorts(), CHUNKS, st.data())
+def test_malformed_rows_reported_at_their_lines(cohort, chunk, data):
+    binning, hists = cohort
+    entries = [(_csv_text([t, c, {"baseline": "0", "followup": "72"}[tp], repr(a)]), False)
+               for t, c, tp, a in itertools.chain.from_iterable(map(histogram_to_voxels, hists))]
+    for _ in range(data.draw(st.integers(0, 8))):
+        h = data.draw(st.sampled_from(hists))
+        row = data.draw(st.sampled_from(BAD_ROWS + [""]))  # "" is a blank line
+        t = '"' + h.tumor_id.replace('"', '""') + '"'
+        entries.insert(data.draw(st.integers(0, len(entries))),
+                       (row.format(t=t, c=h.cohort) + "\r\n", bool(row)))
+    expected, line = [], 1
+    for text, bad in entries:
+        line += len(re.findall(r"\r\n|\r|\n", text))
+        if bad:
+            expected.append(line)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(histograms, "_CHUNK_ROWS", chunk):
+        path = Path(tmp) / "voxels.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write("tumor_id,cohort,timepoint,adc\r\n")
+            fh.writelines(text for text, _ in entries)
+        loaded = load_voxel_csv(path)
+    assert [line for line, _ in loaded.errors] == expected
+    _assert_same_histograms(bin_voxels(loaded.records, binning), hists)

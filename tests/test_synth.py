@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lpm.errors import EmptyInputError
-from lpm.histograms import bin_voxels
+from lpm.histograms import bin_voxels, load_voxel_csv, write_voxel_csv
 from lpm.synth import (SynthSpec, bump_pmf, default_scenarios, generate,
                        histogram_to_voxels, spread_components)
 
@@ -108,15 +108,18 @@ class TestDefaultScenarios:
 
 
 class TestHistogramToVoxels:
-    def test_roundtrip_through_binning(self, binning):
+    def test_roundtrip_through_binning(self, tmp_path, binning):
         control, treated, _ = generate(
             SynthSpec(binning=binning,
                       control_pmfs=spread_components(binning, 2, 0)[0],
                       treatment_pmfs=[], cohort_sizes=(1, 0),
                       counts_per_tumor=2000.0, seed=3))
         h = control[0]
-        records = histogram_to_voxels(h)
-        rebuilt = bin_voxels(records, binning)[h.tumor_id]
+        rows = histogram_to_voxels(h)
+        assert len(rows) == h.total
+        write_voxel_csv(tmp_path / "voxels.csv", rows)
+        table = load_voxel_csv(tmp_path / "voxels.csv").records
+        rebuilt = bin_voxels(table, binning)[h.tumor_id]
         assert np.array_equal(rebuilt.counts, h.counts)
 
     def test_empty_histogram_rejected(self, binning):
