@@ -7,7 +7,6 @@ The bin-center approximation is bounded by half a bin width.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -141,11 +140,9 @@ def cohort_baseline(histograms):
     return tests, combined
 
 
-def write_baseline_csv(path, tests, combined_z):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["measure", "t_statistic", "dof", "p_two_tailed", "z_equivalent"])
-        for measure, r in tests.items():
-            writer.writerow([measure, repr(r.statistic), repr(r.dof),
-                             repr(r.p_two_tailed), repr(r.z_equivalent)])
-        writer.writerow(["combined", "", "", "", repr(combined_z)])
+def baseline_table(tests, combined_z) -> list:
+    """Header, one row per measure and the combined row, as baseline.csv holds them."""
+    return ([("measure", "t_statistic", "dof", "p_two_tailed", "z_equivalent")]
+            + [(measure, repr(r.statistic), repr(r.dof), repr(r.p_two_tailed),
+                repr(r.z_equivalent)) for measure, r in tests.items()]
+            + [("combined", "", "", "", repr(combined_z))])

@@ -1,8 +1,10 @@
 """Command-line orchestration of the analysis pipeline.
 
-Every subcommand reads its inputs, writes artifacts into --out-dir and
-embeds the run seed plus a hash of the resolved configuration into each
-artifact, so identical configurations produce byte-identical outputs.
+main parses the arguments (and --config), creates --out-dir and computes the
+run header: the seed plus a hash of the resolved configuration. Each
+subcommand then loads its inputs once, computes, and writes every artifact
+once with that header embedded, so identical configurations produce
+byte-identical outputs.
 
 Exit codes: 0 success, 1 analysis-level failure, 2 input error.
 """
@@ -10,6 +12,7 @@ Exit codes: 0 success, 1 analysis-level failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
@@ -18,16 +21,16 @@ from pathlib import Path
 
 from . import baseline as baseline_mod
 from . import svgplots
-from .errors import InputFormatError, LpmError, SelectionFailedError
-from .histograms import (BinningConfig, Histogram2D, bin_voxels,
+from .errors import AnalysisError, InputFormatError, LpmError
+from .histograms import (COHORTS, BinningConfig, Histogram2D, bin_voxels,
                          load_signal_csv, load_voxel_csv,
                          write_histogram_json, write_voxel_csv)
-from .inference import combine_cohort, fit_and_score
+from .inference import ResponseResult, combine_cohort, fit_and_score
 from .model import TrainOptions, read_model_json, train_control, \
     train_treatment, write_model_json
-from .selection import select_components, write_selection_csv
+from .selection import select_components, selection_table
 from .synth import default_scenarios, generate, histogram_to_voxels
-from .validation import leave_one_out, write_loo_csv
+from .validation import leave_one_out, loo_table
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
@@ -40,22 +43,24 @@ EXIT_INPUT = 2
 _PATH_ARGS = ("func", "config", "out_dir", "histograms", "model", "response",
               "voxels", "signals")
 
-
-def _config_hash(args) -> str:
-    payload = {k: v for k, v in sorted(vars(args).items())
-               if k not in _PATH_ARGS and not callable(v)}
-    return hashlib.sha256(json.dumps(payload, sort_keys=True,
-                                     default=str).encode()).hexdigest()[:16]
+# response_*.csv columns; every column after tumor_id is a ResponseResult float
+RESPONSE_COLUMNS = ("tumor_id", "z", "p_two_tailed", "effect_fraction",
+                    "effect_fraction_sigma", "q_treatment_total", "sigma_treatment")
 
 
 def _meta(args) -> dict:
-    return {"seed": args.seed, "config_hash": _config_hash(args)}
+    """The run seed and a hash of every parsed argument but the paths."""
+    payload = {k: v for k, v in vars(args).items() if k not in _PATH_ARGS}
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True,
+                                       default=str).encode()).hexdigest()[:16]
+    return {"seed": args.seed, "config_hash": digest}
 
 
-def _prepend_comment(path: Path, meta: dict):
-    line = f"# seed={meta['seed']} config_hash={meta['config_hash']}\n"
-    text = path.read_text()
-    path.write_text(line + text)
+def write_csv(path: Path, meta: dict, table):
+    """Write the run comment line, then the header and rows of table."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# seed={meta['seed']} config_hash={meta['config_hash']}\n")
+        csv.writer(fh, lineterminator="\n").writerows(table)
 
 
 def _write_json(path: Path, payload: dict, meta: dict):
@@ -66,12 +71,15 @@ def _write_json(path: Path, payload: dict, meta: dict):
         fh.write("\n")
 
 
-def _load_histograms(directory):
-    """Histograms from every JSON object with a "counts" key in a directory.
+def _load_cohorts(directory) -> dict:
+    """Histograms of a directory by cohort label, each list in file-name order.
 
-    Other JSON files (ingest summaries, ground truth, models) are skipped.
+    Every JSON object with a "counts" key is a histogram; other JSON files
+    (ingest summaries, ground truth, models) are skipped. Tumor ids must be
+    unique and every cohort one of COHORTS.
     """
-    hists = []
+    cohorts = {label: [] for label in COHORTS}
+    files = {}  # tumor_id -> file
     for p in sorted(Path(directory).glob("*.json")):
         try:
             with open(p) as fh:
@@ -81,14 +89,21 @@ def _load_histograms(directory):
         if not isinstance(d, dict) or "counts" not in d:
             continue
         try:
-            hists.append(Histogram2D.from_json_dict(d))
+            h = Histogram2D.from_json_dict(d)
         except KeyError as exc:
             raise InputFormatError(f"{p}: histogram lacks key {exc}") from None
         except (ValueError, TypeError) as exc:
             raise InputFormatError(f"{p}: malformed histogram: {exc}") from None
-    if not hists:
+        if h.cohort not in cohorts:
+            raise InputFormatError(f"{p}: cohort {h.cohort!r} is not one of {COHORTS}")
+        if h.tumor_id in files:
+            raise InputFormatError(f"{files[h.tumor_id]} and {p} both hold "
+                                   f"tumor {h.tumor_id!r}")
+        files[h.tumor_id] = p
+        cohorts[h.cohort].append(h)
+    if not files:
         raise InputFormatError(f"no histogram JSON files in {directory}")
-    return hists
+    return cohorts
 
 
 def _binning_from_args(args) -> BinningConfig:
@@ -101,15 +116,8 @@ def _train_options(args) -> TrainOptions:
                         max_iter=args.max_iter, tol=args.tol)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_ingest(args) -> int:
-    out = _out_dir(args)
-    meta = _meta(args)
+def cmd_ingest(args, out: Path, meta: dict) -> int:
+    config = _binning_from_args(args)
     if args.signals:
         loaded = load_signal_csv(args.signals)
     else:
@@ -119,7 +127,6 @@ def cmd_ingest(args) -> int:
         for line, msg in loaded.errors:
             print(f"  line {line}: {msg}", file=sys.stderr)
         return EXIT_INPUT
-    config = _binning_from_args(args)
     hists = bin_voxels(loaded.records, config)
     hist_dir = out / "histograms"
     hist_dir.mkdir(exist_ok=True)
@@ -134,9 +141,7 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def cmd_synth(args) -> int:
-    out = _out_dir(args)
-    meta = _meta(args)
+def cmd_synth(args, out: Path, meta: dict) -> int:
     scenarios = default_scenarios(seed=args.seed)
     if args.preset not in scenarios:
         print(f"error: unknown preset {args.preset!r}; "
@@ -161,17 +166,13 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    out = _out_dir(args)
-    meta = _meta(args)
-    hists = _load_histograms(args.histograms)
-    control = [h for h in hists if h.cohort == "control"]
-    treated = [h for h in hists if h.cohort == "treated"]
+def cmd_train(args, out: Path, meta: dict) -> int:
+    cohorts = _load_cohorts(args.histograms)
     opts = _train_options(args)
-    result = train_control(control, args.n_control, opts)
+    result = train_control(cohorts["control"], args.n_control, opts)
     model = result.model
     if args.n_treatment > 0:
-        result = train_treatment(model, treated, args.n_treatment, opts)
+        result = train_treatment(model, cohorts["treated"], args.n_treatment, opts)
         model = result.model
     model.training_meta["run"] = meta
     write_model_json(out / "model.json", model)
@@ -180,18 +181,14 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_select(args) -> int:
-    out = _out_dir(args)
-    meta = _meta(args)
-    hists = _load_histograms(args.histograms)
-    control = [h for h in hists if h.cohort == "control"]
-    treated = [h for h in hists if h.cohort == "treated"]
+def cmd_select(args, out: Path, meta: dict) -> int:
+    cohorts = _load_cohorts(args.histograms)
+    treated = cohorts["treated"]
     opts = _train_options(args)
-    curve_c, best_c = select_components(control, "control", None,
+    curve_c, best_c = select_components(cohorts["control"], "control", None,
                                         args.k_min, args.k_max, opts,
                                         jobs=args.jobs)
-    write_selection_csv(out / "selection_control.csv", curve_c)
-    _prepend_comment(out / "selection_control.csv", meta)
+    write_csv(out / "selection_control.csv", meta, selection_table(curve_c))
     (out / "selection_control.svg").write_text(svgplots.selection_curve_svg(curve_c))
     model = best_c.model
     if treated:
@@ -200,8 +197,7 @@ def cmd_select(args) -> int:
         curve_t, best_t = select_components(treated, "treatment", model,
                                             k_min_t, k_max_t, opts,
                                             jobs=args.jobs)
-        write_selection_csv(out / "selection_treatment.csv", curve_t)
-        _prepend_comment(out / "selection_treatment.csv", meta)
+        write_csv(out / "selection_treatment.csv", meta, selection_table(curve_t))
         (out / "selection_treatment.svg").write_text(
             svgplots.selection_curve_svg(curve_t))
         model = best_t.model
@@ -212,52 +208,30 @@ def cmd_select(args) -> int:
     return EXIT_OK
 
 
-def _write_response_csv(path: Path, results, combined):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tumor_id", "z", "p_two_tailed", "effect_fraction",
-                         "effect_fraction_sigma", "q_treatment_total",
-                         "sigma_treatment"])
-        for r in results:
-            writer.writerow([r.tumor_id, repr(r.z), repr(r.p_two_tailed),
-                             repr(r.effect_fraction),
-                             repr(r.effect_fraction_sigma),
-                             repr(r.q_treatment_total), repr(r.sigma_treatment)])
-        writer.writerow(["combined", repr(combined.combined_z),
-                         repr(combined.combined_p), "", "", "", ""])
-
-
-def cmd_fit(args) -> int:
-    out = _out_dir(args)
-    meta = _meta(args)
+def cmd_fit(args, out: Path, meta: dict) -> int:
     model = read_model_json(args.model)
-    hists = _load_histograms(args.histograms)
-    cohort = [h for h in hists if h.cohort == args.cohort]
+    cohort = _load_cohorts(args.histograms)[args.cohort]
     if not cohort:
         print(f"error: no {args.cohort} histograms found", file=sys.stderr)
         return EXIT_INPUT
     results = [fit_and_score(model, h) for h in cohort]
     combined = combine_cohort(results)
-    path = out / f"response_{args.cohort}.csv"
-    _write_response_csv(path, results, combined)
-    _prepend_comment(path, meta)
+    table = [RESPONSE_COLUMNS]
+    table += [[r.tumor_id] + [repr(getattr(r, c)) for c in RESPONSE_COLUMNS[1:]]
+              for r in results]
+    table.append(["combined", repr(combined.combined_z), repr(combined.combined_p)]
+                 + [""] * (len(RESPONSE_COLUMNS) - 3))
+    write_csv(out / f"response_{args.cohort}.csv", meta, table)
     print(f"scored {len(results)} {args.cohort} tumors, "
           f"combined z = {combined.combined_z:.2f}")
     return EXIT_OK
 
 
-def cmd_validate(args) -> int:
-    out = _out_dir(args)
-    meta = _meta(args)
-    hists = _load_histograms(args.histograms)
-    control = [h for h in hists if h.cohort == "control"]
-    treated = [h for h in hists if h.cohort == "treated"]
-    report = leave_one_out(control, treated, args.n_control, args.n_treatment,
-                           _train_options(args), jobs=args.jobs)
-    write_loo_csv(out / "loo_report.csv", report)
-    _prepend_comment(out / "loo_report.csv", meta)
+def cmd_validate(args, out: Path, meta: dict) -> int:
+    cohorts = _load_cohorts(args.histograms)
+    report = leave_one_out(cohorts["control"], cohorts["treated"], args.n_control,
+                           args.n_treatment, _train_options(args), jobs=args.jobs)
+    write_csv(out / "loo_report.csv", meta, loo_table(report))
     print(f"built {report.models_built} models, "
           f"{len(report.outlier_flags)} outlier flags")
     for tumor_id, reason in report.outlier_flags:
@@ -265,48 +239,30 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def cmd_baseline(args) -> int:
-    out = _out_dir(args)
-    meta = _meta(args)
-    hists = _load_histograms(args.histograms)
-    tests, combined = baseline_mod.cohort_baseline(hists)
-    baseline_mod.write_baseline_csv(out / "baseline.csv", tests, combined)
-    _prepend_comment(out / "baseline.csv", meta)
+def cmd_baseline(args, out: Path, meta: dict) -> int:
+    tests, combined = baseline_mod.cohort_baseline(
+        chain.from_iterable(_load_cohorts(args.histograms).values()))
+    write_csv(out / "baseline.csv", meta, baseline_mod.baseline_table(tests, combined))
     print(f"baseline combined z = {combined:.2f}")
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    out = _out_dir(args)
-    model_path = Path(args.model)
-    response_path = Path(args.response)
-    if not model_path.exists():
-        print(f"error: model file {model_path} not found", file=sys.stderr)
-        return EXIT_INPUT
-    if not response_path.exists():
-        print(f"error: response file {response_path} not found", file=sys.stderr)
-        return EXIT_INPUT
-    model = read_model_json(model_path)
-
-    import csv as _csv
-
-    from .inference import ResponseResult
-
+def cmd_report(args, out: Path, meta: dict) -> int:
+    model = read_model_json(args.model)
     results = []
     combined_z = None
-    with open(response_path, newline="") as fh:
+    with open(args.response, newline="") as fh:
         rows = [r for r in fh if not r.startswith("#")]
-    for row in _csv.DictReader(rows):
-        if row["tumor_id"] == "combined":
-            combined_z = float(row["z"])
-            continue
-        results.append(ResponseResult(
-            tumor_id=row["tumor_id"], z=float(row["z"]),
-            p_two_tailed=float(row["p_two_tailed"]),
-            effect_fraction=float(row["effect_fraction"]),
-            effect_fraction_sigma=float(row["effect_fraction_sigma"]),
-            q_treatment_total=float(row["q_treatment_total"]),
-            sigma_treatment=float(row["sigma_treatment"])))
+    try:
+        for row in csv.DictReader(rows):
+            if row["tumor_id"] == "combined":
+                combined_z = float(row["z"])
+                continue
+            results.append(ResponseResult(tumor_id=row["tumor_id"], **{
+                c: float(row[c]) for c in RESPONSE_COLUMNS[1:]}))
+    except (KeyError, ValueError, TypeError) as exc:
+        raise InputFormatError(f"{args.response}: malformed response CSV: "
+                               f"{exc!r}") from None
     (out / "effect_bars.svg").write_text(
         svgplots.effect_bar_svg(results, "Treatment volume per tumor"))
     (out / "components.svg").write_text(svgplots.pmf_heatstrip_svg(model))
@@ -324,15 +280,18 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _apply_config_file(parser, args, argv):
-    if not getattr(args, "config", None):
+def _parse_args(parser, argv):
+    """Parse argv; with --config, parse again with the file's keys as flags.
+
+    Each `key = value` line becomes `--key=value` (a bare `--key` for a true
+    on/off flag) placed before argv, so argparse converts and checks the
+    value and an explicit flag, occurring later, wins. Keys the subcommand
+    does not take are ignored.
+    """
+    args = parser.parse_args(argv)
+    if not args.config:
         return args
-    if argv is None:
-        argv = sys.argv[1:]
-    # flags named explicitly on the command line win over config values
-    explicit = {tok[2:].split("=", 1)[0].replace("-", "_")
-                for tok in argv if isinstance(tok, str) and tok.startswith("--")}
-    overrides = {}
+    tokens = []
     with open(args.config) as fh:
         for raw in fh:
             raw = raw.strip()
@@ -340,27 +299,16 @@ def _apply_config_file(parser, args, argv):
                 continue
             if "=" not in raw:
                 raise InputFormatError(f"bad config line: {raw!r}")
-            key, value = raw.split("=", 1)
-            overrides[key.strip().replace("-", "_")] = value.strip()
-    # defaults live on the subcommand parsers, not just the top-level one
-    actions = list(parser._actions)
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sp in action.choices.values():
-                actions.extend(sp._actions)
-    defaults = {a.dest: a.default for a in actions}
-    for key, value in overrides.items():
-        if not hasattr(args, key) or key in explicit:
-            continue
-        current = defaults.get(key)
-        if isinstance(current, bool):
-            value = value.lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
-            value = int(value)
-        elif isinstance(current, float):
-            value = float(value)
-        setattr(args, key, value)
-    return args
+            key, value = (part.strip() for part in raw.split("=", 1))
+            dest = key.replace("-", "_")
+            if dest in ("command", "func", "config") or not hasattr(args, dest):
+                continue
+            flag = "--" + dest.replace("_", "-")
+            if not isinstance(getattr(args, dest), bool):
+                tokens.append(f"{flag}={value}")
+            elif value.lower() in ("1", "true", "yes"):
+                tokens.append(flag)
+    return parser.parse_args([args.command] + tokens + argv[1:])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,18 +390,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        args = _apply_config_file(parser, args, argv)
-        return args.func(args)
-    except SelectionFailedError as exc:
+        args = _parse_args(parser, argv)
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        return args.func(args, out, _meta(args))
+    except AnalysisError as exc:
         print(f"analysis failed: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
-    except (InputFormatError, FileNotFoundError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except LpmError as exc:
+    except (LpmError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,8 +1,20 @@
-"""Error taxonomy shared across the package."""
+"""Error taxonomy shared across the package.
+
+The command line maps AnalysisError to exit 1 and every other LpmError to
+exit 2 (an input error).
+"""
 
 
 class LpmError(Exception):
     """Base class for all analysis errors."""
+
+
+class AnalysisError(LpmError):
+    """Valid input on which the analysis itself failed."""
+
+
+class ParameterError(LpmError, ValueError):
+    """A parameter lies outside its valid range (e.g. fewer than 2 bins)."""
 
 
 class EmptyInputError(LpmError):
@@ -17,16 +29,12 @@ class BinningMismatchError(LpmError):
     """Histogram and model were built on different bin grids."""
 
 
-class OverParameterisedError(LpmError):
+class OverParameterisedError(AnalysisError):
     """Model has at least as many free parameters as informative cells."""
 
 
-class SelectionFailedError(LpmError):
+class SelectionFailedError(AnalysisError):
     """Every candidate model in a selection sweep was degenerate."""
-
-    def __init__(self, message, curve=None):
-        super().__init__(message)
-        self.curve = curve
 
 
 class DegenerateVarianceError(LpmError):

@@ -21,7 +21,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import DegenerateDesignError, EmptyInputError, InputFormatError
+from .errors import (DegenerateDesignError, EmptyInputError, InputFormatError,
+                     ParameterError)
 
 COHORTS = ("control", "treated")
 TIMEPOINTS = ("baseline", "followup")
@@ -49,9 +50,10 @@ class BinningConfig:
 
     def __post_init__(self):
         if not (self.adc_min < self.adc_max):
-            raise ValueError(f"adc_min must be < adc_max, got [{self.adc_min}, {self.adc_max}]")
+            raise ParameterError(f"adc_min must be < adc_max, "
+                                 f"got [{self.adc_min}, {self.adc_max}]")
         if self.n_adc_bins < 2:
-            raise ValueError(f"n_adc_bins must be >= 2, got {self.n_adc_bins}")
+            raise ParameterError(f"n_adc_bins must be >= 2, got {self.n_adc_bins}")
         if self.n_timepoints != 2:
             raise ValueError("exactly two timepoints are supported")
 

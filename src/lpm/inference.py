@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInputError, LpmError
+from .errors import AnalysisError, EmptyInputError
 from .model import LpmModel, fit_quantities, model_expectation
 from .selection import GoodnessOfFit, chi2_statistic
 
@@ -67,7 +67,7 @@ def quantity_covariance(model: LpmModel, h, q, chi2: GoodnessOfFit,
     H = h.counts.reshape(-1).astype(float)
     M = P @ q
     if np.any((H > 0) & (M <= 0)):
-        raise LpmError("model expectation is zero on a populated cell")
+        raise AnalysisError("model expectation is zero on a populated cell")
     active = q > _ACTIVE_FRACTION * max(q.sum(), 1.0)
     constrained = ~active
     C = np.zeros((K, K))
@@ -88,7 +88,7 @@ def quantity_covariance(model: LpmModel, h, q, chi2: GoodnessOfFit,
             Ca = chi2.chi2_per_dof * Ca
         Ca = 0.5 * (Ca + Ca.T)
         if np.any(np.diag(Ca) < 0):
-            raise LpmError("negative variance after error propagation")
+            raise AnalysisError("negative variance after error propagation")
         idx = np.flatnonzero(active)
         C[np.ix_(idx, idx)] = Ca
     return QuantityCovariance(matrix=C, scaled_by_chi2=scale_by_chi2,
@@ -121,7 +121,8 @@ def response_result(model: LpmModel, h, q, cov: QuantityCovariance) -> ResponseR
     elif q_t <= _ACTIVE_FRACTION * max(total, 1.0):
         z = 0.0
     else:
-        raise LpmError(f"tumor {h.tumor_id}: nonzero treatment quantity with zero error")
+        raise AnalysisError(f"tumor {h.tumor_id}: nonzero treatment quantity "
+                            f"with zero error")
     return ResponseResult(tumor_id=h.tumor_id, q_treatment_total=q_t,
                           sigma_treatment=sigma_t, effect_fraction=eff,
                           effect_fraction_sigma=eff_sigma, z=z,

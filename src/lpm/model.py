@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BinningMismatchError, EmptyInputError, InputFormatError
+from .errors import (AnalysisError, BinningMismatchError, EmptyInputError,
+                     InputFormatError, ParameterError)
 from .histograms import BinningConfig, Histogram2D
 
 _M_FLOOR = 1e-300
@@ -39,6 +40,10 @@ class TrainOptions:
     restarts: int = 5
     max_iter: int = 10000
     tol: float = 1e-9  # relative log-likelihood change
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ParameterError(f"restarts must be >= 1, got {self.restarts}")
 
 
 @dataclass
@@ -201,7 +206,7 @@ def _em(H, P, Q, trainable, max_iter, tol, rng=None):
             M = expectation()
         cur = objective()
         if cur < prev - 1e-6 * max(1.0, abs(prev)):
-            raise RuntimeError(f"EM objective decreased: {prev} -> {cur}")
+            raise AnalysisError(f"EM objective decreased: {prev} -> {cur}")
         if abs(cur - prev) <= tol * max(1.0, abs(prev)):
             # check trainable components for collapse before accepting
             mass = Q.sum(axis=0)
@@ -262,7 +267,7 @@ def train_control(cohort, n_control: int, opts: TrainOptions = TrainOptions()) -
     if not cohort:
         raise EmptyInputError("control cohort is empty")
     if n_control < 1:
-        raise ValueError("n_control must be >= 1")
+        raise ParameterError(f"n_control must be >= 1, got {n_control}")
     binning = cohort[0].binning
     H = _stack(cohort, binning)
     n_cells = binning.n_cells
@@ -350,7 +355,7 @@ def train_treatment(control_model: LpmModel, cohort, n_treatment: int,
 
     P, Q, diag, degenerate = _best_restart(H, k_total, init_P, opts)
     if not np.array_equal(P[:, :n_control], P_control):
-        raise RuntimeError("control components changed during treatment training")
+        raise AnalysisError("control components changed during treatment training")
     meta = dict(control_model.training_meta)
     meta.update({"treatment_seed": opts.seed, "treatment_restarts": opts.restarts,
                  "treatment_iterations": diag.n_iterations,

@@ -8,13 +8,12 @@ constant sigma^2 = 1/4.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OverParameterisedError, SelectionFailedError
+from .errors import OverParameterisedError, ParameterError, SelectionFailedError
 from .model import (LpmModel, TrainOptions, model_expectation, train_control,
                     train_treatment)
 
@@ -95,18 +94,18 @@ def chi2_per_dof(histograms, model: LpmModel, quantities,
     return GoodnessOfFit(raw_chi2=raw, dof=dof, chi2_per_dof=raw / dof)
 
 
-def choose_component_count(points, tie_tolerance: float = TIE_TOLERANCE) -> int:
+def choose_component_count(points) -> int:
     """Pick the component count where the statistic stops improving.
 
     Walk the non-degenerate points in ascending K and stop at the first
-    whose successor improves chi2/dof by no more than tie_tolerance; if the
+    whose successor improves chi2/dof by no more than TIE_TOLERANCE; if the
     curve keeps improving to the end, the largest candidate wins.
     """
     usable = [p for p in points if not p.degenerate]
     if not usable:
         raise SelectionFailedError("all candidate models degenerate")
     for i, p in enumerate(usable[:-1]):
-        if p.chi2_per_dof - usable[i + 1].chi2_per_dof <= tie_tolerance:
+        if p.chi2_per_dof - usable[i + 1].chi2_per_dof <= TIE_TOLERANCE:
             return p.n_components
     return usable[-1].n_components
 
@@ -132,8 +131,7 @@ def _train_candidate(args):
 
 
 def select_components(cohort, phase: str, base_model, k_min: int, k_max: int,
-                      opts: TrainOptions = TrainOptions(), jobs: int = 1,
-                      tie_tolerance: float = TIE_TOLERANCE):
+                      opts: TrainOptions = TrainOptions(), jobs: int = 1):
     """Sweep component counts and pick the most parsimonious near-minimum.
 
     For phase "control", k counts control components. For phase "treatment",
@@ -144,9 +142,9 @@ def select_components(cohort, phase: str, base_model, k_min: int, k_max: int,
         raise ValueError(f"unknown phase {phase!r}")
     floor = 1 if phase == "control" else base_model.n_control + 1
     if k_min < floor:
-        raise ValueError(f"k_min must be >= {floor} for phase {phase}")
+        raise ParameterError(f"k_min must be >= {floor} for phase {phase}, got {k_min}")
     if k_max <= k_min:
-        raise ValueError(f"need k_max > k_min, got [{k_min}, {k_max}]")
+        raise ParameterError(f"need k_max > k_min, got [{k_min}, {k_max}]")
     tasks = [(phase, list(cohort), base_model, k, opts)
              for k in range(k_min, k_max + 1)]
     if jobs > 1:
@@ -158,19 +156,14 @@ def select_components(cohort, phase: str, base_model, k_min: int, k_max: int,
 
     points = [SelectionPoint(n_components=k, chi2_per_dof=gof.chi2_per_dof,
                              degenerate=deg) for k, _, gof, deg in outcomes]
-    if all(p.degenerate for p in points):
-        curve = SelectionCurve(points=points, phase=phase, chosen=-1)
-        raise SelectionFailedError("all candidate models degenerate", curve=curve)
-    chosen = choose_component_count(points, tie_tolerance)
+    chosen = choose_component_count(points)
     curve = SelectionCurve(points=points, phase=phase, chosen=chosen)
     best_result = next(res for k, res, _, _ in outcomes if k == chosen)
     return curve, best_result
 
 
-def write_selection_csv(path, curve: SelectionCurve):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["phase", "n_components", "chi2_per_dof", "degenerate", "chosen"])
-        for p in curve.points:
-            writer.writerow([curve.phase, p.n_components, repr(p.chi2_per_dof),
-                             int(p.degenerate), int(p.n_components == curve.chosen)])
+def selection_table(curve: SelectionCurve) -> list:
+    """Header and one row per candidate, as selection_*.csv holds them."""
+    return [("phase", "n_components", "chi2_per_dof", "degenerate", "chosen")] + [
+        (curve.phase, p.n_components, repr(p.chi2_per_dof), int(p.degenerate),
+         int(p.n_components == curve.chosen)) for p in curve.points]

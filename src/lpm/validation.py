@@ -9,7 +9,6 @@ protocol.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -96,22 +95,18 @@ def leave_one_out(control_cohort, treated_cohort, n_control: int,
                      models_built=1 + len(control_cohort))
 
 
-def write_loo_csv(path, report: LooReport):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tumor_id", "z_lai", "z_loo", "p_lai", "p_loo",
-                         "effect_lai", "effect_loo", "err_lai", "err_loo",
-                         "outlier_flag"])
-        for e in report.entries:
-            lai = e.leave_all_in
+def loo_table(report: LooReport) -> list:
+    """Header and one row per control tumor, as loo_report.csv holds them.
+
+    A failed fold's leave-one-out cells read "failed".
+    """
+    table = [("tumor_id", "z_lai", "z_loo", "p_lai", "p_loo", "effect_lai",
+              "effect_loo", "err_lai", "err_loo", "outlier_flag")]
+    for e in report.entries:
+        row = [e.tumor_id]
+        for attr in ("z", "p_two_tailed", "effect_fraction", "effect_fraction_sigma"):
             loo = e.leave_one_out
-            row = [e.tumor_id, repr(lai.z)]
-            row.append(repr(loo.z) if loo else "failed")
-            row.append(repr(lai.p_two_tailed))
-            row.append(repr(loo.p_two_tailed) if loo else "failed")
-            row.append(repr(lai.effect_fraction))
-            row.append(repr(loo.effect_fraction) if loo else "failed")
-            row.append(repr(lai.effect_fraction_sigma))
-            row.append(repr(loo.effect_fraction_sigma) if loo else "failed")
-            row.append(int(e.outlier))
-            writer.writerow(row)
+            row += [repr(getattr(e.leave_all_in, attr)),
+                    repr(getattr(loo, attr)) if loo else "failed"]
+        table.append(row + [int(e.outlier)])
+    return table

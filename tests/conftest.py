@@ -44,6 +44,15 @@ def poisson_histogram(model, q, seed, tumor_id="t1", cohort="control"):
                       binning=model.binning)
 
 
+def em_from_outside_the_cone():
+    """Run model._em from a negative quantity, where its updates lower the objective."""
+    from lpm.model import _em
+
+    P = np.array([[0.36, 0.09], [0.32, 0.89], [0.32, 0.02]])
+    return _em(np.array([[16.0, 2.0, 7.0]]), P / P.sum(axis=0),
+               np.array([[10.8, -2.9]]), np.zeros(2, dtype=bool), 50, 1e-12)
+
+
 def separated_components(binning, n_control, n_treatment, floor=0.0):
     """Bump components with control and treatment in distinct ADC ranges."""
     control = [bump_pmf(binning, 0.10 + 0.36 * (k + 0.5) / n_control,

@@ -6,8 +6,9 @@ import pytest
 from scipy import stats
 
 from lpm.baseline import (cohort_baseline, combine_tests, summarise,
-                          summary_change, t_test_p_and_z, welch_t_test,
-                          write_baseline_csv)
+                          baseline_table, summary_change, t_test_p_and_z,
+                          welch_t_test)
+from lpm.cli import write_csv
 from lpm.errors import (DegenerateVarianceError, EmptyInputError,
                         UndefinedSummaryError)
 from lpm.histograms import Histogram2D
@@ -151,8 +152,9 @@ class TestCohortBaseline:
     def test_csv_output(self, small_binning, tmp_path):
         tests, combined = cohort_baseline(self._cohort(small_binning))
         path = tmp_path / "baseline.csv"
-        write_baseline_csv(path, tests, combined)
+        write_csv(path, {"seed": 0, "config_hash": "0"}, baseline_table(tests, combined))
         with open(path, newline="") as fh:
+            assert fh.readline() == "# seed=0 config_hash=0\n"
             rows = list(csv.DictReader(fh))
         assert rows[-1]["measure"] == "combined"
         assert float(rows[-1]["z_equivalent"]) == pytest.approx(combined)

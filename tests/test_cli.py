@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lpm
@@ -15,6 +16,14 @@ FAST = ["--restarts", "1", "--max-iter", "800", "--tol", "1e-8"]
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def exit_code(argv):
+    """main's return value, or the status argparse exits with."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +91,24 @@ class TestHistogramDirectory:
         assert run(["fit", "--model", pipeline / "model.json",
                     "--histograms", hist_dir, "--out-dir", tmp_path]) == 2
         assert "zz.json" in capsys.readouterr().err
+
+    def test_duplicate_tumor_id_is_input_error(self, pipeline, tmp_path,
+                                               capsys):
+        hist_dir = shutil.copytree(pipeline / "histograms", tmp_path / "h")
+        shutil.copy(hist_dir / "trt01.json", hist_dir / "zz_copy.json")
+        assert run(["fit", "--model", pipeline / "model.json",
+                    "--histograms", hist_dir, "--out-dir", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert "trt01.json" in err and "zz_copy.json" in err
+
+    def test_unknown_cohort_is_input_error(self, pipeline, tmp_path, capsys):
+        hist_dir = shutil.copytree(pipeline / "histograms", tmp_path / "h")
+        d = json.loads((hist_dir / "trt01.json").read_text())
+        d["cohort"] = "Treated"
+        (hist_dir / "trt01.json").write_text(json.dumps(d))
+        assert run(["fit", "--model", pipeline / "model.json",
+                    "--histograms", hist_dir, "--out-dir", tmp_path]) == 2
+        assert "trt01.json" in capsys.readouterr().err
 
     def test_truncated_histogram_is_input_error(self, pipeline, tmp_path,
                                                 capsys):
@@ -196,6 +223,60 @@ class TestExitCodes:
                     "--response", tmp_path / "nope.csv",
                     "--out-dir", tmp_path]) == 2
 
+    def test_response_missing_column_is_input_error(self, pipeline, tmp_path,
+                                                    capsys):
+        path = tmp_path / "response.csv"
+        path.write_text("# seed=3 config_hash=0\ntumor_id,z\ntrt01,1.0\n")
+        assert run(["report", "--model", pipeline / "model.json",
+                    "--response", path, "--out-dir", tmp_path]) == 2
+        assert "p_two_tailed" in capsys.readouterr().err
+
+    def test_model_zero_on_populated_cell_is_analysis_failure(self, pipeline,
+                                                              tmp_path, capsys):
+        model = json.loads((pipeline / "model.json").read_text())
+        counts = np.array(json.loads(
+            (pipeline / "histograms" / "trt01.json").read_text())["counts"])
+        cell = np.unravel_index(np.argmax(counts), counts.shape)
+        for component in model["components"]:
+            probs = np.array(component["probs"])
+            probs[cell] = 0.0
+            component["probs"] = (probs / probs.sum()).tolist()
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        assert run(["fit", "--model", path, "--histograms",
+                    pipeline / "histograms", "--out-dir", tmp_path]) == 1
+        assert "zero on a populated cell" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["train", "--histograms", "{hists}", "--n-control", "0"],
+                     "n_control must be >= 1", id="n-control-0"),
+        pytest.param(["select", "--histograms", "{hists}", "--k-min", "3",
+                      "--k-max", "3"], "need k_max > k_min", id="k-range-empty"),
+        pytest.param(["ingest", "--voxels", "{voxels}", "--bins", "1"],
+                     "n_adc_bins must be >= 2", id="bins-1"),
+        pytest.param(["ingest", "--voxels", "{voxels}", "--adc-min", "0.003",
+                      "--adc-max", "0.001"], "adc_min must be < adc_max",
+                     id="adc-range-reversed"),
+        pytest.param(["synth", "--config", "{config}"],
+                     "invalid int value: 'abc'", id="config-seed-abc"),
+        pytest.param(["train", "--histograms", "{hists}", "--n-control", "1",
+                      "--restarts", "0"], "restarts must be >= 1", id="restarts-0"),
+    ])
+    def test_bad_value_is_input_error(self, pipeline, tmp_path, capsys, argv,
+                                      message):
+        voxels = tmp_path / "voxels.csv"
+        voxels.write_text("tumor_id,cohort,timepoint,adc\nt1,control,0,0.001\n")
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = abc\n")
+        paths = {"hists": pipeline / "histograms", "voxels": voxels,
+                 "config": config}
+        argv = [a.format(**paths) for a in argv] + ["--out-dir", tmp_path]
+        assert exit_code(argv) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error" in line]
+        assert len(errors) == 1 and message in errors[0], err
+        assert "Traceback" not in err
+
 
 class TestConfigFile:
     def test_config_supplies_values(self, tmp_path):
@@ -218,6 +299,62 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("this is not key value\n")
         assert run(["synth", "--config", cfg, "--out-dir", tmp_path]) == 2
+
+    def test_config_run_writes_flag_run_bytes(self, pipeline, tmp_path):
+        hist_dir = pipeline / "histograms"
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("n_treatment = 2\nseed = 3\nrestarts = 1\n"
+                       "max_iter = 800\ntol = 1e-8\n")
+        assert run(["train", "--config", cfg, "--histograms", hist_dir,
+                    "--n-control", "3", "--out-dir", tmp_path]) == 0
+        assert ((tmp_path / "model.json").read_bytes()
+                == (pipeline / "model.json").read_bytes())
+        # fit takes neither n_control nor k_max: those keys are ignored
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("# scoring\ncohort = treated\nseed = 3\n"
+                       "n_control = 3\nk-max = 5\n")
+        assert run(["fit", "--config", cfg, "--model", tmp_path / "model.json",
+                    "--histograms", hist_dir, "--out-dir", tmp_path]) == 0
+        assert ((tmp_path / "response_treated.csv").read_bytes()
+                == (pipeline / "response_treated.csv").read_bytes())
+
+    def test_config_switches_on_flag(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("emit_voxels = yes\n")
+        assert run(["synth", "--config", cfg, "--out-dir", tmp_path]) == 0
+        assert (tmp_path / "voxels.csv").is_file()
+
+
+@pytest.fixture(scope="module")
+def sweeps(pipeline, tmp_path_factory):
+    """select and validate on the pipeline histograms with --jobs 1 and 2."""
+    out = tmp_path_factory.mktemp("sweeps")
+    for jobs in (1, 2):
+        common = ["--histograms", pipeline / "histograms", "--seed", "3",
+                  "--jobs", jobs, "--out-dir", out / f"jobs{jobs}"] + FAST
+        assert run(["select", "--k-max", "3"] + common) == 0
+        assert run(["validate", "--n-control", "3", "--n-treatment", "2"]
+                   + common) == 0
+    return out
+
+
+class TestArtifacts:
+    @pytest.mark.parametrize("name", ["selection_control.csv",
+                                      "selection_treatment.csv",
+                                      "loo_report.csv"])
+    def test_jobs_do_not_change_results(self, sweeps, name):
+        one, two = ((sweeps / f"jobs{jobs}" / name).read_text().splitlines()
+                    for jobs in (1, 2))
+        assert one[0] != two[0]  # --jobs is part of the config hash
+        assert one[1:] == two[1:]
+
+    def test_csv_artifacts_start_with_run_comment(self, pipeline, sweeps):
+        paths = sorted(pipeline.glob("*.csv")) + sorted(sweeps.rglob("*.csv"))
+        assert len(paths) == 2 + 2 * 3
+        for path in paths:
+            data = path.read_bytes()
+            assert data.startswith(b"# seed=3 config_hash="), path
+            assert data.endswith(b"\n") and b"\r" not in data, path
 
 
 class TestDeterminism:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import make_model, make_pmf, poisson_histogram
-from lpm.errors import BinningMismatchError, EmptyInputError
+from conftest import em_from_outside_the_cone, make_model, make_pmf, poisson_histogram
+from lpm.errors import (AnalysisError, BinningMismatchError, EmptyInputError,
+                        ParameterError)
 from lpm.histograms import Histogram2D
 from lpm.model import (ComponentPmf, LpmModel, TrainOptions, fit_quantities,
                        model_expectation, read_model_json, train_control,
@@ -120,6 +121,12 @@ class TestFitQuantities:
             fit_quantities(m, h)
 
 
+class TestEm:
+    def test_objective_decrease_is_analysis_error(self):
+        with pytest.raises(AnalysisError, match="objective decreased"):
+            em_from_outside_the_cone()
+
+
 class TestTrainControl:
     def test_basic_structure(self, small_binning):
         truth = make_model(small_binning, n_control=2, seed=9)
@@ -151,6 +158,10 @@ class TestTrainControl:
     def test_empty_cohort(self):
         with pytest.raises(EmptyInputError):
             train_control([], 2)
+
+    def test_needs_a_restart(self):
+        with pytest.raises(ParameterError, match="restarts"):
+            TrainOptions(restarts=0)
 
 
 class TestTrainTreatment:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import make_model, poisson_histogram
+from lpm.cli import write_csv
 from lpm.errors import OverParameterisedError, SelectionFailedError
 from lpm.model import TrainOptions, fit_quantities
 from lpm.selection import (SQRT_VARIANCE, SelectionPoint, chi2_per_dof,
                            chi2_statistic, choose_component_count,
-                           select_components, write_selection_csv)
+                           select_components, selection_table)
 
 
 class TestChi2Statistic:
@@ -85,20 +86,20 @@ class TestChooseComponentCount:
 
     def test_stops_when_improvement_small(self):
         points = self._points([50.0, 1.05, 1.02, 0.98])
-        assert choose_component_count(points, 0.1) == 2
+        assert choose_component_count(points) == 2
 
     def test_continues_through_large_improvements(self):
         points = self._points([50.0, 20.0, 1.0, 0.99])
-        assert choose_component_count(points, 0.1) == 3
+        assert choose_component_count(points) == 3
 
     def test_last_wins_when_curve_keeps_falling(self):
         points = self._points([50.0, 20.0, 5.0, 1.0])
-        assert choose_component_count(points, 0.1) == 4
+        assert choose_component_count(points) == 4
 
     def test_degenerate_points_skipped(self):
         points = self._points([50.0, 1.05, float("nan"), 1.02],
                               degenerate=[False, False, True, False])
-        assert choose_component_count(points, 0.1) == 2
+        assert choose_component_count(points) == 2
 
     def test_all_degenerate_raises(self):
         points = self._points([1.0, 1.0], degenerate=[True, True])
@@ -138,8 +139,9 @@ class TestSelectComponents:
     def test_csv_output(self, easy_sweep, tmp_path):
         curve, _ = easy_sweep
         path = tmp_path / "selection.csv"
-        write_selection_csv(path, curve)
+        write_csv(path, {"seed": 0, "config_hash": "0"}, selection_table(curve))
         with open(path, newline="") as fh:
+            assert fh.readline() == "# seed=0 config_hash=0\n"
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3
         chosen = [r for r in rows if r["chosen"] == "1"]

@@ -2,15 +2,17 @@ import csv
 
 import pytest
 
+from conftest import em_from_outside_the_cone
+from lpm import validation
+from lpm.cli import write_csv
 from lpm.errors import EmptyInputError, LpmError
 from lpm.histograms import BinningConfig
 from lpm.model import TrainOptions
 from lpm.synth import SynthSpec, bump_pmf, generate, spread_components
-from lpm.validation import leave_one_out, write_loo_csv
+from lpm.validation import leave_one_out, loo_table
 
 
-@pytest.fixture(scope="module")
-def report():
+def _cohorts():
     binning = BinningConfig()
     # floored bumps keep every cell populated, so each fold's trained
     # model retains full support for the held-out tumor
@@ -22,6 +24,12 @@ def report():
                      treatment_pmfs=trt, cohort_sizes=(4, 3),
                      counts_per_tumor=8000.0, seed=21)
     control, treated, _ = generate(spec)
+    return control, treated
+
+
+@pytest.fixture(scope="module")
+def report():
+    control, treated = _cohorts()
     opts = TrainOptions(seed=0, restarts=2, max_iter=3000)
     return leave_one_out(control, treated, 1, 1, opts), control
 
@@ -47,14 +55,31 @@ class TestLeaveOneOut:
     def test_csv_output(self, report, tmp_path):
         rep, control = report
         path = tmp_path / "loo.csv"
-        write_loo_csv(path, rep)
+        write_csv(path, {"seed": 0, "config_hash": "0"}, loo_table(rep))
         with open(path, newline="") as fh:
+            assert fh.readline() == "# seed=0 config_hash=0\n"
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(control)
         for row in rows:
             float(row["z_lai"])
             float(row["z_loo"])
             assert row["outlier_flag"] in ("0", "1")
+
+    def test_failing_fold_recorded_as_failed(self, monkeypatch):
+        control, treated = _cohorts()
+        real = validation.train_control
+
+        def train_control(cohort, n_control, opts):
+            if cohort[0] is not control[0]:  # the fold that leaves out control[0]
+                em_from_outside_the_cone()
+            return real(cohort, n_control, opts)
+
+        monkeypatch.setattr(validation, "train_control", train_control)
+        opts = TrainOptions(seed=0, restarts=1, max_iter=3000)
+        rep = leave_one_out(control, treated, 1, 1, opts)
+        assert [e.failed for e in rep.entries] == [True, False, False, False]
+        assert "objective decreased" in rep.entries[0].reason
+        assert loo_table(rep)[1][2] == "failed"
 
     def test_needs_three_controls(self):
         binning = BinningConfig()
