@@ -153,20 +153,24 @@ class Histogram2D:
         return int(self.counts.sum())
 
     def to_json_dict(self):
-        return {
+        d = {
             "tumor_id": self.tumor_id,
             "cohort": self.cohort,
             "binning": self.binning.to_json_dict(),
             "counts": self.counts.tolist(),
             "overflow": int(self.overflow),
         }
+        if self.warnings:  # absent when empty: warning-free files keep their bytes
+            d["warnings"] = list(self.warnings)
+        return d
 
     @classmethod
     def from_json_dict(cls, d) -> "Histogram2D":
         return cls(tumor_id=d["tumor_id"], cohort=d["cohort"],
                    counts=np.asarray(d["counts"], dtype=np.int64),
                    binning=BinningConfig.from_json_dict(d["binning"]),
-                   overflow=int(d.get("overflow", 0)))
+                   overflow=int(d.get("overflow", 0)),
+                   warnings=tuple(d.get("warnings", ())))
 
 
 # failed checks of a signal group, in the order they are tested

@@ -6,9 +6,10 @@ quantity estimates are implicit functions of the counts. With
     A_kl = sum_c p_k(c) p_l(c) H(c) / M(c)^2   (negative Hessian)
     B_kl = sum_c p_k(c) p_l(c) sigma2_H(c) / M(c)^2,  sigma2_H = H
 
-the propagated covariance is C = chi2 * A^-1 B A^-1. Components pinned at
-the non-negativity boundary are dropped from the inversion and reported
-with zero variance and a constrained flag.
+the propagated covariance is C = chi2 * A^-1 B A^-1 = chi2 * A^-1, a
+pseudo-inverse when A is singular. Components pinned at the non-negativity
+boundary are dropped from the inversion and reported with zero variance and
+a constrained flag.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnalysisError, EmptyInputError
+from .errors import AnalysisError, EmptyInputError, ParameterError
 from .model import LpmModel, fit_quantities, model_expectation
 from .selection import GoodnessOfFit, chi2_statistic
 
@@ -77,18 +78,17 @@ def quantity_covariance(model: LpmModel, h, q, chi2: GoodnessOfFit,
         mask = M > np.sqrt(np.finfo(float).tiny)  # M**2 must not underflow
         W = H[mask] / M[mask] ** 2
         A = Pa[mask].T @ (Pa[mask] * W[:, None])
-        B = A.copy()  # sigma2_H = H makes the two kernels coincide
+        # B = A, so A^-1 B A^-1 = A^-1, formed as L^-T L^-1 from A = L L^T:
+        # a Gram matrix stays PSD however ill-conditioned A is
         try:
-            Ainv = np.linalg.inv(A)
-        except np.linalg.LinAlgError:
-            Ainv = np.linalg.pinv(A)
+            Linv = np.linalg.inv(np.linalg.cholesky(A))
+            Ca = Linv.T @ Linv
+        except np.linalg.LinAlgError:  # A singular to working precision
+            Ca = np.linalg.pinv(A, hermitian=True)
             pinv_used = True
-        Ca = Ainv @ B @ Ainv
         if scale_by_chi2:
             Ca = chi2.chi2_per_dof * Ca
         Ca = 0.5 * (Ca + Ca.T)
-        if np.any(np.diag(Ca) < 0):
-            raise AnalysisError("negative variance after error propagation")
         idx = np.flatnonzero(active)
         C[np.ix_(idx, idx)] = Ca
     return QuantityCovariance(matrix=C, scaled_by_chi2=scale_by_chi2,
@@ -97,10 +97,14 @@ def quantity_covariance(model: LpmModel, h, q, chi2: GoodnessOfFit,
                               pseudo_inverse_used=pinv_used)
 
 
+def _require_treatment(model: LpmModel):
+    if model.n_treatment < 1:
+        raise ParameterError("model has no treatment components")
+
+
 def response_result(model: LpmModel, h, q, cov: QuantityCovariance) -> ResponseResult:
     """Per-tumor treatment response: total treatment quantity, Z, P, fraction."""
-    if model.n_treatment < 1:
-        raise ValueError("model has no treatment components")
+    _require_treatment(model)
     q = np.asarray(q, dtype=float)
     C = cov.matrix
     tsl = model.treatment_slice
@@ -118,7 +122,7 @@ def response_result(model: LpmModel, h, q, cov: QuantityCovariance) -> ResponseR
 
     if sigma_t > 0:
         z = q_t / sigma_t
-    elif q_t <= _ACTIVE_FRACTION * max(total, 1.0):
+    elif cov.constrained[tsl].all():  # every treatment component pinned at 0
         z = 0.0
     else:
         raise AnalysisError(f"tumor {h.tumor_id}: nonzero treatment quantity "
@@ -146,6 +150,7 @@ def fit_and_score(model: LpmModel, h) -> ResponseResult:
     The covariance is scaled by this histogram's own fit chi2/dof, with the
     fitted quantities counted as free parameters.
     """
+    _require_treatment(model)
     q, _ = fit_quantities(model, h)
     M = model_expectation(model, q)
     chi2 = chi2_statistic(h.counts, M, n_free_params=model.n_components)
@@ -155,6 +160,5 @@ def fit_and_score(model: LpmModel, h) -> ResponseResult:
 
 def control_consistency(model: LpmModel, control_histograms):
     """Score control tumors with the full model; inliers should sit at |z| < 2."""
-    if model.n_treatment < 1:
-        raise ValueError("model has no treatment components")
+    _require_treatment(model)
     return [fit_and_score(model, h) for h in control_histograms]

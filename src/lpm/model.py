@@ -17,6 +17,19 @@ with M = Q @ P.T and R = H / M never leave the non-negative cone and never
 decrease the objective. One routine, _em, runs them for both training
 phases and for per-histogram quantity fits; they differ only in which PMF
 columns are frozen (all of them for a quantity fit).
+
+The updates converge linearly, so _em accelerates them with SQUAREM
+(Varadhan & Roland 2008). One cycle over theta = (Q, trainable columns of
+P) takes two maps theta0 -> theta1 -> theta2, forms r = theta1 - theta0 and
+v = theta2 - 2 theta1 + theta0, and jumps to theta0 + 2s r + s^2 v with
+s = max(1, min(|r|/|v|, step_max)); trainable columns are renormalised and
+frozen ones kept bitwise. One more map stabilises the jump, which is kept
+only if it stayed non-negative and its objective is at least theta2's;
+otherwise the cycle ends at theta2. step_max starts at 1, grows 4x when
+|r|/|v| reaches it and shrinks 4x (not below 1) after a rejection. The
+convergence, decrease and collapse checks run once per cycle against the
+last accepted objective. Iterations count maps, 2 or 3 per cycle; max_iter
+caps them, and fewer than 3 left are spent as plain steps.
 """
 
 from __future__ import annotations
@@ -166,45 +179,101 @@ def read_model_json(path) -> LpmModel:
 
 
 def _em(H, P, Q, trainable, max_iter, tol, rng=None):
-    """Run the multiplicative EM updates to convergence.
+    """Run SQUAREM-accelerated multiplicative EM to convergence.
 
-    H: (S, n_cells) counts; P: (n_cells, K) column-normalised PMFs, updated
-    in place; Q: (S, K) quantities; trainable: boolean mask over components
-    whose PMF columns may move (none for a quantity-only fit). With rng,
-    trainable components that collapse are re-seeded once. The objective is
-    the extended likelihood sum H*ln(M) - sum Q, taken from the expectation
-    M = Q @ P.T that the next Q-step reuses. Returns (P, Q, diagnostics,
-    degenerate_flag).
+    H: (S, n_cells) counts; P: (n_cells, K) column-normalised PMFs; Q: (S, K)
+    quantities; trainable: boolean mask over components whose PMF columns
+    may move (none for a quantity-only fit). Frozen columns are never
+    written. With rng, trainable components that collapse are re-seeded
+    once. The objective is the extended likelihood sum H*ln(M) - sum Q,
+    taken from the expectation M = Q @ P.T that the next Q-step reuses.
+    max_iter caps the number of multiplicative maps. Returns (P, Q,
+    diagnostics, degenerate_flag).
     """
     H = np.asarray(H, dtype=float)
     populated = H > 0
     H_populated = H[populated]
     total_counts = H.sum()
     train_cols = np.flatnonzero(trainable)
+    train_any = train_cols.size > 0
 
-    def expectation():
+    def expectation(P, Q):
         return np.maximum(Q @ P.T, _M_FLOOR)
 
-    def objective():
+    def objective(Q, M):
         return float(np.sum(H_populated * np.log(M[populated])) - Q.sum())
 
-    M = expectation()
-    prev = objective()
+    def em_map(P, Q, M):
+        """One multiplicative step from (P, Q), whose expectation is M."""
+        Q = Q * ((H / M) @ P)
+        M = expectation(P, Q)
+        if train_any:
+            G = P * ((H / M).T @ Q)
+            colsum = G.sum(axis=0)
+            move = trainable & (colsum > 0)
+            P = np.where(move, G / np.where(move, colsum, 1.0), P)
+            M = expectation(P, Q)
+        return P, Q, M
+
+    def extrapolate(P0, Q0, P1, Q1, P2, Q2, step_max):
+        """SQUAREM point theta0 + 2s r + s^2 v and the ratio |r|/|v|.
+
+        Frozen PMF columns are equal in all three points, so they add nothing
+        to r and v and are kept bitwise. The point is None when it leaves the
+        non-negative cone.
+        """
+        rQ, vQ = Q1 - Q0, Q2 - 2.0 * Q1 + Q0
+        r2, v2 = np.vdot(rQ, rQ), np.vdot(vQ, vQ)
+        if train_any:
+            rP, vP = P1 - P0, P2 - 2.0 * P1 + P0
+            r2, v2 = r2 + np.vdot(rP, rP), v2 + np.vdot(vP, vP)
+        ratio = np.sqrt(r2 / v2) if v2 > 0 else np.inf
+        step = max(1.0, min(ratio, step_max))
+        if step == 1.0:  # s = 1 lands exactly on theta2
+            return P2, Q2, ratio
+        Q = Q0 + (2.0 * step) * rQ + (step * step) * vQ
+        if np.any(Q < 0):
+            return None, None, ratio
+        if not train_any:
+            return P0, Q, ratio
+        P = P0 + (2.0 * step) * rP + (step * step) * vP
+        colsum = P.sum(axis=0)
+        if np.any(P < 0) or np.any(colsum <= 0):
+            return None, None, ratio
+        return np.where(trainable, P / colsum, P0), Q, ratio
+
+    M = expectation(P, Q)
+    prev = objective(Q, M)
+    step_max = 1.0
     converged = False
     reseeded = set()
     degenerate = False
     it = 0
-    for it in range(1, max_iter + 1):
-        Q = Q * ((H / M) @ P)
-        M = expectation()
-        if train_cols.size:
-            P_new = P * ((H / M).T @ Q)
-            colsum = P_new.sum(axis=0)
-            for k in train_cols:
-                if colsum[k] > 0:
-                    P[:, k] = P_new[:, k] / colsum[k]
-            M = expectation()
-        cur = objective()
+    while it < max_iter:
+        if max_iter - it < 3:  # no room for a cycle: plain steps
+            P, Q, M = em_map(P, Q, M)
+            cur = objective(Q, M)
+            it += 1
+        else:
+            P1, Q1, M1 = em_map(P, Q, M)
+            P2, Q2, M2 = em_map(P1, Q1, M1)
+            cur = objective(Q2, M2)
+            it += 2
+            Px, Qx, ratio = extrapolate(P, Q, P1, Q1, P2, Q2, step_max)
+            accepted = False
+            if Qx is not None:
+                Mx = M2 if Qx is Q2 else expectation(Px, Qx)
+                Px, Qx, Mx = em_map(Px, Qx, Mx)
+                it += 1
+                cur_x = objective(Qx, Mx)
+                accepted = cur_x >= cur
+            if accepted:
+                P, Q, M, cur = Px, Qx, Mx, cur_x
+                if ratio >= step_max:
+                    step_max *= 4.0
+            else:
+                P, Q, M = P2, Q2, M2
+                step_max = max(1.0, step_max / 4.0)
         if cur < prev - 1e-6 * max(1.0, abs(prev)):
             raise AnalysisError(f"EM objective decreased: {prev} -> {cur}")
         if abs(cur - prev) <= tol * max(1.0, abs(prev)):
@@ -225,8 +294,9 @@ def _em(H, P, Q, trainable, max_iter, tol, rng=None):
                     probs = resid / resid.sum()
                     P[:, k] = rng.dirichlet(probs * P.shape[0] + 0.5)
                     Q[:, k] = H.sum(axis=1) / P.shape[1]
-                    M = expectation()
-                prev = objective()
+                    M = expectation(P, Q)
+                prev = objective(Q, M)
+                step_max = 1.0
                 continue
             if weak:
                 degenerate = True

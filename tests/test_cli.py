@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import lpm
-from lpm.cli import main
+from lpm.cli import _load_cohorts, main
 
 FAST = ["--restarts", "1", "--max-iter", "800", "--tol", "1e-8"]
 
@@ -165,6 +165,22 @@ class TestIngest:
         summary = json.loads((tmp_path / "ingest_summary.json").read_text())
         assert len(summary["rejected_rows"]) == 1
 
+    def test_warnings_survive_json_roundtrip(self, tmp_path):
+        path = tmp_path / "voxels.csv"
+        path.write_text("tumor_id,cohort,timepoint,adc\n"
+                        "t1,control,0,0.001\n"
+                        "t2,control,0,0.001\n"
+                        "t2,control,72,0.002\n")
+        assert run(["ingest", "--voxels", path, "--out-dir", tmp_path]) == 0
+        warning = "tumor t1: voxels at only one timepoint"
+        summary = json.loads((tmp_path / "ingest_summary.json").read_text())
+        assert summary["tumors"]["t1"]["warnings"] == [warning]
+        assert "warnings" not in json.loads(
+            (tmp_path / "histograms" / "t2.json").read_text())
+        t1, t2 = _load_cohorts(tmp_path / "histograms")["control"]
+        assert (t1.tumor_id, t1.warnings) == ("t1", (warning,))
+        assert (t2.tumor_id, t2.warnings) == ("t2", ())
+
     def test_all_rows_bad_is_input_error(self, tmp_path):
         path = tmp_path / "voxels.csv"
         path.write_text("tumor_id,cohort,timepoint,adc\n"
@@ -246,6 +262,19 @@ class TestExitCodes:
         assert run(["fit", "--model", path, "--histograms",
                     pipeline / "histograms", "--out-dir", tmp_path]) == 1
         assert "zero on a populated cell" in capsys.readouterr().err
+
+    def test_fit_on_control_only_model_is_input_error(self, pipeline, tmp_path,
+                                                      capsys):
+        hists = pipeline / "histograms"
+        assert run(["train", "--histograms", hists, "--n-control", "2",
+                    "--out-dir", tmp_path] + FAST) == 0
+        capsys.readouterr()
+        assert run(["fit", "--model", tmp_path / "model.json", "--histograms",
+                    hists, "--out-dir", tmp_path]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error" in line]
+        assert len(errors) == 1 and "no treatment components" in errors[0], err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv, message", [
         pytest.param(["train", "--histograms", "{hists}", "--n-control", "0"],

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import make_model, poisson_histogram
-from lpm.errors import EmptyInputError
-from lpm.inference import (combine_cohort, fit_and_score, quantity_covariance,
-                           response_result, two_tailed_p)
-from lpm.model import fit_quantities, model_expectation
+from lpm.errors import EmptyInputError, ParameterError
+from lpm.inference import (combine_cohort, control_consistency, fit_and_score,
+                           quantity_covariance, response_result, two_tailed_p)
+from lpm.histograms import BinningConfig, Histogram2D
+from lpm.model import LpmModel, fit_quantities, model_expectation
 from lpm.selection import GoodnessOfFit, chi2_statistic
 
 UNIT_CHI2 = GoodnessOfFit(raw_chi2=1.0, dof=1, chi2_per_dof=1.0)
@@ -55,6 +56,19 @@ class TestQuantityCovariance:
         assert np.all(cov.matrix[:, 1] == 0)
         assert cov.matrix[0, 0] > 0
 
+    def test_rank_deficient_kernel_stays_psd(self):
+        # one populated cell, two active components: A has rank 1, and its
+        # plain inverse came out indefinite (eigenvalues -9e14 and 6e16)
+        binning = BinningConfig(n_adc_bins=2)
+        P = np.array([[0.39494071, 0.15248471], [0.59223638, 0.45161118],
+                      [0.01150477, 0.18663111], [0.00131815, 0.20927301]])
+        model = LpmModel(P=P / P.sum(axis=0), n_control=1, binning=binning)
+        h = Histogram2D(tumor_id="t", cohort="treated",
+                        counts=np.array([[0, 7], [0, 0]]), binning=binning)
+        cov = quantity_covariance(model, h, np.array([9.35, 5.44]),
+                                  GoodnessOfFit(raw_chi2=0.0, dof=1, chi2_per_dof=0.5))
+        assert np.linalg.eigvalsh(cov.matrix).min() >= -1e-9 * np.abs(cov.matrix).max()
+
     def test_variance_scale_matches_poisson_for_one_component(self, small_binning):
         # with a single component q ~ total counts, so var(q) ~ q
         model = make_model(small_binning, n_control=1, seed=2)
@@ -96,6 +110,27 @@ class TestResponseResult:
         cov = quantity_covariance(model, h, q, UNIT_CHI2)
         with pytest.raises(ValueError):
             response_result(model, h, q, cov)
+
+    def test_control_only_model_is_parameter_error(self, small_binning):
+        model = make_model(small_binning, n_control=2, seed=6)
+        h = poisson_histogram(model, np.array([5000.0, 5000.0]), seed=8)
+        with pytest.raises(ParameterError):
+            fit_and_score(model, h)
+        with pytest.raises(ParameterError):
+            control_consistency(model, [h])
+
+    def test_treatment_pinned_in_sum_but_not_per_component_scores_zero(self, small_binning):
+        # each treatment quantity is below _ACTIVE_FRACTION of the total,
+        # their sum is above it: the covariance pins both, so z = 0
+        model = make_model(small_binning, n_control=1, n_treatment=2, seed=6)
+        q = np.array([1e6, 0.006, 0.006])
+        h = poisson_histogram(model, q, seed=8, cohort="treated")
+        chi2 = chi2_statistic(h.counts, model_expectation(model, q), n_free_params=3)
+        cov = quantity_covariance(model, h, q, chi2)
+        assert cov.constrained.tolist() == [False, True, True]
+        r = response_result(model, h, q, cov)
+        assert r.q_treatment_total == pytest.approx(0.012)
+        assert (r.sigma_treatment, r.z, r.p_two_tailed) == (0.0, 0.0, 1.0)
 
 
 class TestCombineCohort:

@@ -1,9 +1,12 @@
-"""Property tests for the EM solver, the model's JSON form and CSV ingest.
+"""Property tests for the EM solver, the quantity covariance, the model's
+JSON form and CSV ingest.
 
 One routine, ``model._em``, runs both training phases and every per-tumor
 quantity fit; these properties hold for any trainable mask, including the
-all-frozen mask of a quantity fit. Histograms expanded into voxel or signal
-CSV files bin back to the same counts, whatever the loaders' chunk size.
+all-frozen mask of a quantity fit. Its SQUAREM cycles must land where plain
+multiplicative steps would, or higher, and respect the map cap exactly.
+Histograms expanded into voxel or signal CSV files bin back to the same
+counts, whatever the loaders' chunk size.
 """
 
 import csv
@@ -23,13 +26,18 @@ from hypothesis import strategies as st
 from lpm import histograms
 from lpm.histograms import (COHORTS, BinningConfig, Histogram2D, bin_voxels,
                             load_signal_csv, load_voxel_csv, write_voxel_csv)
+from lpm.inference import quantity_covariance
 from lpm.model import LpmModel, _em
+from lpm.selection import GoodnessOfFit
 from lpm.synth import histogram_to_voxels
 
 MAX_ITER = 300
 TOL = 1e-9
 # one EM step cannot lower the objective; summing S * n_cells terms can
 ROUNDING = 1e-10
+# KKT residual of a quantity fit stopped by fit_quantities' tol
+KKT_EPS = 1e-2
+PLAIN_STEPS = 20000
 
 
 @st.composite
@@ -85,6 +93,99 @@ def test_em_objective_never_decreases(problem):
     assert diag.log_likelihood == _objective(H, P, Q, trainable)
     further = _em(H, P.copy(), Q, trainable, 1, TOL)[2].log_likelihood
     assert further >= diag.log_likelihood - _slack(diag.log_likelihood)
+
+
+def _plain_map(H, P, Q, trainable):
+    """One Lee-Seung multiplicative step, written out independently of _em."""
+    Q = Q * ((H / np.maximum(Q @ P.T, 1e-300)) @ P)
+    if trainable.any():
+        G = P * ((H / np.maximum(Q @ P.T, 1e-300)).T @ Q)
+        cols = trainable & (G.sum(axis=0) > 0)
+        P = P.copy()
+        P[:, cols] = G[:, cols] / G[:, cols].sum(axis=0)
+    return P, Q
+
+
+def _quantity_fit(problem):
+    H, P, Q, _, _ = problem
+    return H, P, Q, np.zeros(P.shape[1], dtype=bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems(), st.integers(0, 3))
+def test_em_map_cap_is_exact(problem, cap):
+    H, P0, Q0, trainable, _ = problem
+    P, Q, diag, _ = _em(H, P0.copy(), Q0, trainable, cap, TOL)
+    assert diag.n_iterations <= cap
+    assert np.array_equal(P[:, ~trainable], P0[:, ~trainable])
+    if cap == 0:
+        assert diag.log_likelihood == _objective(H, P0, Q0, trainable)
+    if cap == 1:  # one plain step, never an extrapolation
+        P1, Q1 = _plain_map(H, P0, Q0, trainable)
+        assert np.allclose(Q, Q1, rtol=1e-12, atol=0)
+        assert np.allclose(P, P1, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems())
+def test_converged_quantity_fit_meets_kkt(problem):
+    """At the MLE, d(objective)/dq_k = (P.T @ (H/M))_k - 1 is 0 where q_k > 0
+    and <= 0 where q_k is pinned at zero; the fit uses fit_quantities' tol."""
+    H, P, Q0, trainable = _quantity_fit(problem)
+    _, Q, diag, _ = _em(H, P, Q0, trainable, 200000, 1e-12)
+    assert diag.converged
+    g = (H / np.maximum(Q @ P.T, 1e-300)) @ P
+    active = Q > 1e-4 * np.maximum(Q.sum(axis=1, keepdims=True), 1.0)
+    assert np.all(np.abs(g[active] - 1.0) <= KKT_EPS)
+    assert np.all(g[~active] <= 1.0 + KKT_EPS)
+
+
+@settings(max_examples=20, deadline=None)
+@given(problems())
+def test_quantity_fit_reaches_plain_em(problem):
+    """SQUAREM run until the objective stops moving is at least as high as
+    PLAIN_STEPS plain steps from the same start. (With tol > 0 the relative
+    stopping rule can stop short of the MLE on a flat ridge, K = n_cells
+    with a condition number ~1e3, as it does for plain steps.)"""
+    H, P, Q0, trainable = _quantity_fit(problem)
+    accelerated = _em(H, P, Q0, trainable, 200000, 0.0)[2].log_likelihood
+    Q = Q0
+    for _ in range(PLAIN_STEPS):
+        Q = _plain_map(H, P, Q, trainable)[1]
+    plain = _objective(H, P, Q, trainable)
+    assert accelerated >= plain - _slack(plain)
+
+
+@st.composite
+def scored_fits(draw):
+    """A random model, a Poisson histogram and quantities with some pinned at 0."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    n_bins = draw(st.integers(2, 8))
+    K = draw(st.integers(1, 4))
+    rng = np.random.default_rng(seed)
+    binning = BinningConfig(n_adc_bins=n_bins)
+    model = LpmModel(P=rng.dirichlet(np.ones(binning.n_cells), size=K).T,
+                     n_control=1, binning=binning)
+    q = rng.uniform(0.0, 1.0, size=K) * draw(st.sampled_from([10.0, 1e3, 1e5]))
+    q[:draw(st.integers(0, K - 1))] = draw(st.sampled_from([0.0, 1e-12, 1e-9]))
+    q = q[rng.permutation(K)]
+    counts = rng.poisson(model.P @ q).reshape(n_bins, 2)
+    h = Histogram2D(tumor_id="t", cohort="treated", counts=counts, binning=binning)
+    chi2 = GoodnessOfFit(raw_chi2=0.0, dof=1,
+                         chi2_per_dof=draw(st.sampled_from([0.5, 1.0, 3.0])))
+    return model, h, q, chi2
+
+
+@settings(max_examples=60, deadline=None)
+@given(scored_fits())
+def test_quantity_covariance_symmetric_psd(fit):
+    model, h, q, chi2 = fit
+    cov = quantity_covariance(model, h, q, chi2)
+    C = cov.matrix
+    assert np.array_equal(C, C.T)
+    assert np.linalg.eigvalsh(C).min() >= -1e-9 * np.abs(C).max()
+    pinned = cov.constrained
+    assert np.all(C[pinned, :] == 0) and np.all(C[:, pinned] == 0)
 
 
 @settings(max_examples=60, deadline=None)
