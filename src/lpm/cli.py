@@ -209,22 +209,41 @@ def cmd_select(args, out: Path, meta: dict) -> int:
 
 
 def cmd_fit(args, out: Path, meta: dict) -> int:
+    """Score every tumor of the cohort; one that fails is recorded as failed.
+
+    A failed tumor's numeric cells read "failed", as in loo_table, and it is
+    left out of the Stouffer combination; the run then exits 1.
+    """
     model = read_model_json(args.model)
     cohort = _load_cohorts(args.histograms)[args.cohort]
     if not cohort:
         print(f"error: no {args.cohort} histograms found", file=sys.stderr)
         return EXIT_INPUT
-    results = [fit_and_score(model, h) for h in cohort]
-    combined = combine_cohort(results)
+    failed_cells = ["failed"] * (len(RESPONSE_COLUMNS) - 1)
     table = [RESPONSE_COLUMNS]
-    table += [[r.tumor_id] + [repr(getattr(r, c)) for c in RESPONSE_COLUMNS[1:]]
-              for r in results]
-    table.append(["combined", repr(combined.combined_z), repr(combined.combined_p)]
-                 + [""] * (len(RESPONSE_COLUMNS) - 3))
+    results = []
+    failures = []
+    for h in cohort:
+        try:
+            r = fit_and_score(model, h)
+        except AnalysisError as exc:
+            failures.append((h.tumor_id, exc))
+            table.append([h.tumor_id] + failed_cells)
+            continue
+        results.append(r)
+        table.append([r.tumor_id] + [repr(getattr(r, c)) for c in RESPONSE_COLUMNS[1:]])
+    if results:
+        combined = combine_cohort(results)
+        cells = [repr(combined.combined_z), repr(combined.combined_p)]
+        print(f"scored {len(results)} {args.cohort} tumors, "
+              f"combined z = {combined.combined_z:.2f}")
+    else:
+        cells = ["failed", "failed"]
+    table.append(["combined"] + cells + [""] * (len(RESPONSE_COLUMNS) - 3))
     write_csv(out / f"response_{args.cohort}.csv", meta, table)
-    print(f"scored {len(results)} {args.cohort} tumors, "
-          f"combined z = {combined.combined_z:.2f}")
-    return EXIT_OK
+    for tumor_id, exc in failures:
+        print(f"error: tumor {tumor_id}: {exc}", file=sys.stderr)
+    return EXIT_ANALYSIS if failures else EXIT_OK
 
 
 def cmd_validate(args, out: Path, meta: dict) -> int:
@@ -250,11 +269,16 @@ def cmd_baseline(args, out: Path, meta: dict) -> int:
 def cmd_report(args, out: Path, meta: dict) -> int:
     model = read_model_json(args.model)
     results = []
+    failed = []  # tumors fit could not score
     combined_z = None
     with open(args.response, newline="") as fh:
         rows = [r for r in fh if not r.startswith("#")]
     try:
         for row in csv.DictReader(rows):
+            if row["z"] == "failed":
+                if row["tumor_id"] != "combined":
+                    failed.append(row["tumor_id"])
+                continue
             if row["tumor_id"] == "combined":
                 combined_z = float(row["z"])
                 continue
@@ -269,6 +293,8 @@ def cmd_report(args, out: Path, meta: dict) -> int:
     lines = [f"Model: {model.n_control} control + {model.n_treatment} "
              f"treatment components",
              f"Tumors scored: {len(results)}"]
+    if failed:
+        lines.append(f"Tumors failed: {', '.join(failed)}")
     if combined_z is not None:
         lines.append(f"Combined cohort z: {combined_z:.2f}")
     for r in results:

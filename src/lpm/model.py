@@ -358,6 +358,51 @@ def train_control(cohort, n_control: int, opts: TrainOptions = TrainOptions()) -
     return TrainResult(model=model, quantities=quantities, diagnostics=diag)
 
 
+def _nnls(A, b, max_iter=None):
+    """argmin |A x - b| over x >= 0, by Lawson & Hanson's active-set method.
+
+    (Solving Least Squares Problems, 1974, ch. 23.) Each outer iteration
+    moves the column with the largest positive gradient w = A.T (b - A x)
+    into the passive set and solves least squares on that set; an inner
+    loop steps back towards the previous x while that solution has a
+    negative entry, dropping the columns that reach zero. max_iter
+    caps the outer iterations (default 3 n, as scipy.optimize.nnls);
+    reaching it is an AnalysisError.
+    """
+    m, n = A.shape
+    if max_iter is None:
+        max_iter = 3 * n
+    # gradient entries below rounding noise do not count as positive, so
+    # duplicated columns cannot cycle
+    tol = (10 * max(m, n) * np.finfo(float).eps
+           * np.linalg.norm(A, axis=0).max() * np.linalg.norm(b))
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    for it in range(max_iter + 1):
+        w = np.where(passive, -np.inf, A.T @ (b - A @ x))
+        j = int(np.argmax(w))
+        if w[j] <= tol:
+            return x
+        if it == max_iter:
+            break
+        passive[j] = True
+        while True:
+            s = np.zeros(n)
+            s[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+            blocked = np.flatnonzero(passive & (s < 0))
+            if blocked.size == 0:
+                break
+            ratio = x[blocked] / (x[blocked] - s[blocked])
+            x = x + ratio.min() * (s - x)
+            # the blocking column leaves even when rounding left it above 0
+            passive[blocked[np.argmin(ratio)]] = False
+            passive &= x > 0
+            x[~passive] = 0.0
+        x = s
+    raise AnalysisError(f"non-negative least squares did not converge in "
+                        f"{max_iter} iterations")
+
+
 def _purify_treatment(P, n_control):
     """Strip the control-expressible part out of each treatment PMF.
 
@@ -368,12 +413,10 @@ def _purify_treatment(P, n_control):
     leaves the model span unchanged while pinning treatment columns to the
     additional-variability end of the ridge.
     """
-    from scipy.optimize import nnls
-
     P = P.copy()
     Pc = P[:, :n_control]
     for k in range(n_control, P.shape[1]):
-        beta, _ = nnls(Pc, P[:, k])
+        beta = _nnls(Pc, P[:, k])
         resid = np.maximum(P[:, k] - Pc @ beta, 0.0)
         if resid.sum() > 0:
             P[:, k] = resid / resid.sum()

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 import lpm
-from lpm.cli import _load_cohorts, main
+from lpm.cli import RESPONSE_COLUMNS, _load_cohorts, main
+from lpm.histograms import BinningConfig, Histogram2D, write_histogram_json
+from lpm.model import LpmModel, write_model_json
 
 FAST = ["--restarts", "1", "--max-iter", "800", "--tol", "1e-8"]
 
@@ -263,6 +266,47 @@ class TestExitCodes:
                     pipeline / "histograms", "--out-dir", tmp_path]) == 1
         assert "zero on a populated cell" in capsys.readouterr().err
 
+    def test_unscoreable_tumor_is_recorded_failed(self, tmp_path, capsys):
+        binning = BinningConfig(n_adc_bins=8)
+        P = np.zeros((16, 3))
+        P[:2, 0] = 0.5  # control: ADC bin 0 at both timepoints
+        P[2:10, 1] = 1 / 8
+        P[8:, 2] = 1 / 8  # treatment
+        write_model_json(tmp_path / "model.json",
+                         LpmModel(P=P, n_control=2, binning=binning))
+        hists = tmp_path / "h"
+        hists.mkdir()
+        rng = np.random.default_rng(0)
+        for i in (1, 2, 3, 4):
+            counts = rng.poisson(P @ [100.0, 400.0, 100.0 * i]).reshape(8, 2)
+            if i == 2:  # counts in bin 0 only: 2 informative cells, 3 quantities
+                counts = np.zeros((8, 2), dtype=int)
+                counts[0] = [30, 25]
+            write_histogram_json(hists / f"trt0{i}.json", Histogram2D(
+                tumor_id=f"trt0{i}", cohort="treated", counts=counts,
+                binning=binning))
+        response = tmp_path / "response_treated.csv"
+        assert run(["fit", "--model", tmp_path / "model.json", "--histograms",
+                    hists, "--out-dir", tmp_path]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error" in line]
+        assert errors == ["error: tumor trt02: 3 free parameters for 2 "
+                          "informative cells"], err
+        header, *rows = csv.reader(response.read_text().splitlines()[1:])
+        assert header == list(RESPONSE_COLUMNS)
+        assert [r[0] for r in rows] == ["trt01", "trt02", "trt03", "trt04",
+                                        "combined"]
+        assert rows[1][1:] == ["failed"] * (len(RESPONSE_COLUMNS) - 1)
+        scored = np.array([r[1:] for r in rows[:1] + rows[2:4]], dtype=float)
+        assert np.all(np.isfinite(scored))
+        assert float(rows[-1][1]) == pytest.approx(scored[:, 0].sum() / np.sqrt(3),
+                                                   rel=1e-12)
+        assert run(["report", "--model", tmp_path / "model.json", "--response",
+                    response, "--out-dir", tmp_path]) == 0
+        report = (tmp_path / "report.txt").read_text()
+        assert "Tumors scored: 3\nTumors failed: trt02\n" in report
+        assert "trt02:" not in report
+
     def test_fit_on_control_only_model_is_input_error(self, pipeline, tmp_path,
                                                       capsys):
         hists = pipeline / "histograms"
@@ -433,3 +477,19 @@ class TestStartup:
                 "        pass")
         assert _scipy_modules_after(tmp_path, code) == []
         assert (tmp_path / "out" / "histograms" / "t1.json").is_file()
+
+    def test_training_commands_load_no_scipy_optimize(self, pipeline, tmp_path):
+        fast = ["--restarts", "1", "--max-iter", "200", "--out-dir", "out"]
+        code = ("from lpm.cli import main\n"
+                f"hists = {str(pipeline / 'histograms')!r}\n"
+                f"fast = {fast!r}\n"
+                "codes = [main([cmd, '--histograms', hists] + args + fast)\n"
+                "         for cmd, args in (\n"
+                "             ('select', ['--k-max', '2']),\n"
+                "             ('train', ['--n-control', '1', '--n-treatment', '1']),\n"
+                "             ('validate', ['--n-control', '1', '--n-treatment', '1']))]\n"
+                "assert codes == [0, 0, 0], codes")
+        loaded = _scipy_modules_after(tmp_path, code)
+        assert not [m for m in loaded if m.startswith("scipy.optimize")], loaded
+        assert "scipy.special" in loaded  # p-values; the probe does see scipy
+        assert (tmp_path / "out" / "loo_report.csv").is_file()

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import nnls as scipy_nnls
 
 from conftest import em_from_outside_the_cone, make_model, make_pmf, poisson_histogram
 from lpm.errors import (AnalysisError, BinningMismatchError, EmptyInputError,
                         ParameterError)
 from lpm.histograms import Histogram2D
-from lpm.model import (ComponentPmf, LpmModel, TrainOptions, fit_quantities,
-                       model_expectation, read_model_json, train_control,
-                       train_treatment, write_model_json)
+from lpm.model import (ComponentPmf, LpmModel, TrainOptions, _nnls,
+                       _purify_treatment, fit_quantities, model_expectation,
+                       read_model_json, train_control, train_treatment,
+                       write_model_json)
 
 
 class TestComponentPmf:
@@ -125,6 +129,90 @@ class TestEm:
     def test_objective_decrease_is_analysis_error(self):
         with pytest.raises(AnalysisError, match="objective decreased"):
             em_from_outside_the_cone()
+
+
+def dirichlet_columns(rng, m, n):
+    """(m, n) matrix of random PMF columns, like a model's control block."""
+    return np.ascontiguousarray(rng.dirichlet(np.ones(m), size=n).T)
+
+
+class TestNnls:
+    def test_matches_scipy(self):
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            m, n = int(rng.integers(4, 65)), int(rng.integers(1, 11))
+            A = dirichlet_columns(rng, m, n)
+            b = rng.dirichlet(np.ones(m))
+            ref, _ = scipy_nnls(A, b)
+            x = _nnls(A, b)
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max(), (m, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 40), st.integers(1, 10),
+           st.booleans())
+    def test_kkt(self, seed, m, n, duplicate):
+        rng = np.random.default_rng(seed)
+        A = dirichlet_columns(rng, m, n)
+        if duplicate:
+            A = np.column_stack([A, A[:, :1]])
+        b = A @ rng.normal(size=A.shape[1]) + 0.1 * rng.normal(size=m) / m
+        x = _nnls(A, b)
+        g = A.T @ (b - A @ x)
+        tol = 1e-10 * np.linalg.norm(A, axis=0).max() * np.linalg.norm(b)
+        assert np.all(x >= 0)
+        assert np.all(np.abs(g[x > 0]) <= tol)
+        assert np.all(g[x == 0] <= tol)
+
+    def test_recovers_b_in_the_cone(self):
+        A = dirichlet_columns(np.random.default_rng(1), 30, 4)
+        c = np.array([2.0, 0.0, 0.5, 1.0])
+        assert np.allclose(_nnls(A, A @ c), c, rtol=0, atol=1e-12 * c.max())
+
+    def test_b_orthogonal_to_every_column_gives_zero(self):
+        A = np.zeros((20, 3))
+        A[:10] = dirichlet_columns(np.random.default_rng(2), 10, 3)
+        b = np.zeros(20)
+        b[10:] = 1.0
+        assert np.array_equal(_nnls(A, b), np.zeros(3))
+
+    def test_duplicated_columns_terminate(self):
+        rng = np.random.default_rng(3)
+        a = dirichlet_columns(rng, 25, 2)
+        A = a[:, [0, 1, 0, 1, 0]]  # rank 2
+        b = a @ np.array([0.7, 0.4]) + 0.01 * rng.dirichlet(np.ones(25))
+        x = _nnls(A, b)
+        ref, _ = scipy_nnls(A, b)
+        assert np.all(x >= 0)
+        assert np.allclose(A @ x, A @ ref, rtol=0, atol=1e-12)
+
+    def test_iteration_cap_is_analysis_error(self):
+        A = dirichlet_columns(np.random.default_rng(4), 20, 2)
+        b = A @ np.array([1.0, 1.0])  # both columns must enter
+        assert np.allclose(_nnls(A, b, max_iter=2), [1.0, 1.0])
+        with pytest.raises(AnalysisError, match="did not converge in 1 iter"):
+            _nnls(A, b, max_iter=1)
+
+
+class TestPurifyTreatment:
+    def test_control_columns_bitwise_and_treatment_normalised(self):
+        rng = np.random.default_rng(5)
+        P = dirichlet_columns(rng, 16, 5)
+        before = P.copy()
+        out = _purify_treatment(P, 3)
+        assert np.array_equal(P, before)
+        assert np.array_equal(out[:, :3], P[:, :3])
+        assert np.all(out[:, 3:] >= 0)
+        assert np.allclose(out[:, 3:].sum(axis=0), 1.0, rtol=0, atol=1e-12)
+
+    def test_control_mixture_plus_bump_purifies_to_the_bump(self):
+        rng = np.random.default_rng(6)
+        P = np.zeros((16, 3))
+        P[:8, :2] = dirichlet_columns(rng, 8, 2)
+        bump = np.zeros(16)
+        bump[8:] = rng.dirichlet(np.ones(8))
+        P[:, 2] = 0.3 * P[:, 0] + 0.2 * P[:, 1] + 0.5 * bump
+        out = _purify_treatment(P, 2)
+        assert np.allclose(out[:, 2], bump, rtol=0, atol=1e-12)
 
 
 class TestTrainControl:
