@@ -251,7 +251,7 @@ def cmd_validate(args, out: Path, meta: dict) -> int:
     report = leave_one_out(cohorts["control"], cohorts["treated"], args.n_control,
                            args.n_treatment, _train_options(args), jobs=args.jobs)
     write_csv(out / "loo_report.csv", meta, loo_table(report))
-    print(f"built {report.models_built} models, "
+    print(f"{len(report.entries)} folds, "
           f"{len(report.outlier_flags)} outlier flags")
     for tumor_id, reason in report.outlier_flags:
         print(f"  outlier {tumor_id}: {reason}")

@@ -34,7 +34,7 @@ class OverParameterisedError(AnalysisError):
 
 
 class SelectionFailedError(AnalysisError):
-    """Every candidate model in a selection sweep was degenerate."""
+    """Every candidate model in a selection sweep was degenerate or unconverged."""
 
 
 class DegenerateVarianceError(LpmError):

@@ -8,7 +8,6 @@ constant sigma^2 = 1/4.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +38,7 @@ class SelectionPoint:
     n_components: int
     chi2_per_dof: float
     degenerate: bool
+    converged: bool
 
 
 @dataclass
@@ -66,13 +66,12 @@ def chi2_statistic(counts, expected, n_free_params: int = 0) -> GoodnessOfFit:
 
 
 def chi2_per_dof(histograms, model: LpmModel, quantities,
-                 n_trainable_components: int = 0,
-                 count_quantities: bool = True) -> GoodnessOfFit:
+                 n_trainable_components: int = 0) -> GoodnessOfFit:
     """Cohort chi-squared per dof for converged fits of one model.
 
     quantities maps tumor_id -> quantity vector. Free parameters are the
-    trainable PMF cells (one normalisation constraint each) plus, when
-    count_quantities, every fitted quantity.
+    trainable PMF cells (one normalisation constraint each) plus every
+    fitted quantity.
     """
     raw = 0.0
     active = 0
@@ -85,9 +84,8 @@ def chi2_per_dof(histograms, model: LpmModel, quantities,
         union |= (h.counts + M).reshape(-1) > 0
     # PMF cells outside the cohort's populated support are unconstrained by
     # the data, so they do not count as effective free parameters
-    free = n_trainable_components * (int(union.sum()) - 1)
-    if count_quantities:
-        free += len(histograms) * model.n_components
+    free = (n_trainable_components * (int(union.sum()) - 1)
+            + len(histograms) * model.n_components)
     dof = active - free
     if dof <= 0:
         raise OverParameterisedError(f"{free} free parameters for {active} informative cells")
@@ -97,13 +95,13 @@ def chi2_per_dof(histograms, model: LpmModel, quantities,
 def choose_component_count(points) -> int:
     """Pick the component count where the statistic stops improving.
 
-    Walk the non-degenerate points in ascending K and stop at the first
-    whose successor improves chi2/dof by no more than TIE_TOLERANCE; if the
-    curve keeps improving to the end, the largest candidate wins.
+    Walk the converged, non-degenerate points in ascending K and stop at the
+    first whose successor improves chi2/dof by no more than TIE_TOLERANCE; if
+    the curve keeps improving to the end, the largest candidate wins.
     """
-    usable = [p for p in points if not p.degenerate]
+    usable = [p for p in points if p.converged and not p.degenerate]
     if not usable:
-        raise SelectionFailedError("all candidate models degenerate")
+        raise SelectionFailedError("all candidate models degenerate or unconverged")
     for i, p in enumerate(usable[:-1]):
         if p.chi2_per_dof - usable[i + 1].chi2_per_dof <= TIE_TOLERANCE:
             return p.n_components
@@ -114,12 +112,13 @@ def _train_candidate(args):
     phase, cohort, base_model, k, opts = args
     if phase == "control":
         result = train_control(cohort, k, opts)
-        n_trainable = k
-        degenerate = bool(result.model.training_meta.get("degenerate"))
+        n_trainable, key = k, ""
     else:
         result = train_treatment(base_model, cohort, k - base_model.n_control, opts)
-        n_trainable = k - base_model.n_control
-        degenerate = bool(result.model.training_meta.get("treatment_degenerate"))
+        n_trainable, key = k - base_model.n_control, "treatment_"
+    meta = result.model.training_meta
+    degenerate = bool(meta[key + "degenerate"])
+    converged = bool(meta[key + "converged"])
     try:
         gof = chi2_per_dof(cohort, result.model, result.quantities,
                            n_trainable_components=n_trainable)
@@ -127,7 +126,7 @@ def _train_candidate(args):
         # too many parameters for the data; exclude from the argmin
         gof = GoodnessOfFit(raw_chi2=float("nan"), dof=0, chi2_per_dof=float("nan"))
         degenerate = True
-    return k, result, gof, degenerate
+    return k, result, gof, degenerate, converged
 
 
 def select_components(cohort, phase: str, base_model, k_min: int, k_max: int,
@@ -148,6 +147,8 @@ def select_components(cohort, phase: str, base_model, k_min: int, k_max: int,
     tasks = [(phase, list(cohort), base_model, k, opts)
              for k in range(k_min, k_max + 1)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_train_candidate, tasks))
     else:
@@ -155,15 +156,18 @@ def select_components(cohort, phase: str, base_model, k_min: int, k_max: int,
     outcomes.sort(key=lambda o: o[0])
 
     points = [SelectionPoint(n_components=k, chi2_per_dof=gof.chi2_per_dof,
-                             degenerate=deg) for k, _, gof, deg in outcomes]
+                             degenerate=deg, converged=conv)
+              for k, _, gof, deg, conv in outcomes]
     chosen = choose_component_count(points)
     curve = SelectionCurve(points=points, phase=phase, chosen=chosen)
-    best_result = next(res for k, res, _, _ in outcomes if k == chosen)
+    best_result = next(res for k, res, *_ in outcomes if k == chosen)
     return curve, best_result
 
 
 def selection_table(curve: SelectionCurve) -> list:
     """Header and one row per candidate, as selection_*.csv holds them."""
-    return [("phase", "n_components", "chi2_per_dof", "degenerate", "chosen")] + [
+    return [("phase", "n_components", "chi2_per_dof", "degenerate", "chosen",
+             "converged")] + [
         (curve.phase, p.n_components, repr(p.chi2_per_dof), int(p.degenerate),
-         int(p.n_components == curve.chosen)) for p in curve.points]
+         int(p.n_components == curve.chosen), int(p.converged))
+        for p in curve.points]

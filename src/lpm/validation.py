@@ -9,7 +9,6 @@ protocol.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import EmptyInputError, LpmError
@@ -33,7 +32,6 @@ class LooEntry:
 class LooReport:
     entries: list
     outlier_flags: list  # (tumor_id, reason)
-    models_built: int
 
 
 def _train_full(control_cohort, treated_cohort, n_control, n_treatment, opts):
@@ -73,6 +71,8 @@ def leave_one_out(control_cohort, treated_cohort, n_control: int,
     tasks = [(control_cohort, treated_cohort, n_control, n_treatment, opts, k)
              for k in range(len(control_cohort))]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             fold_results = list(pool.map(_run_fold, tasks))
     else:
@@ -91,8 +91,7 @@ def leave_one_out(control_cohort, treated_cohort, n_control: int,
                             f"and exceeds leave-all-in z={lai_result.z:.2f}")
             flags.append((tumor_id, entry.reason))
         entries.append(entry)
-    return LooReport(entries=entries, outlier_flags=flags,
-                     models_built=1 + len(control_cohort))
+    return LooReport(entries=entries, outlier_flags=flags)
 
 
 def loo_table(report: LooReport) -> list:

@@ -445,12 +445,12 @@ class TestDeterminism:
                 == (outs[1] / "ground_truth.json").read_bytes())
 
 
-def _scipy_modules_after(tmp_path, code):
-    """scipy modules a fresh interpreter has loaded after running code."""
+def _modules_after(tmp_path, code, package="scipy"):
+    """Modules of package a fresh interpreter has loaded after running code."""
     script = tmp_path / "probe.py"
     script.write_text("import sys\n" + code + "\n"
-                      "print('scipy modules:', *(m for m in sys.modules"
-                      " if m == 'scipy' or m.startswith('scipy.')))\n")
+                      f"print('{package} modules:', *(m for m in sys.modules"
+                      f" if m == {package!r} or m.startswith('{package}.')))\n")
     src = str(Path(lpm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
@@ -461,7 +461,7 @@ def _scipy_modules_after(tmp_path, code):
 
 class TestStartup:
     def test_cli_import_loads_no_scipy_stats(self, tmp_path):
-        loaded = _scipy_modules_after(tmp_path, "import lpm.cli")
+        loaded = _modules_after(tmp_path, "import lpm.cli")
         assert not [m for m in loaded if m.startswith("scipy.stats")]
 
     def test_ingest_loads_no_scipy(self, tmp_path):
@@ -475,21 +475,39 @@ class TestStartup:
                 "        main(argv)\n"
                 "    except SystemExit:\n"
                 "        pass")
-        assert _scipy_modules_after(tmp_path, code) == []
+        assert _modules_after(tmp_path, code) == []
         assert (tmp_path / "out" / "histograms" / "t1.json").is_file()
 
-    def test_training_commands_load_no_scipy_optimize(self, pipeline, tmp_path):
+    def test_training_and_scoring_commands_load_no_scipy(self, pipeline, tmp_path):
         fast = ["--restarts", "1", "--max-iter", "200", "--out-dir", "out"]
         code = ("from lpm.cli import main\n"
                 f"hists = {str(pipeline / 'histograms')!r}\n"
+                f"model = {str(pipeline / 'model.json')!r}\n"
                 f"fast = {fast!r}\n"
-                "codes = [main([cmd, '--histograms', hists] + args + fast)\n"
+                "codes = [main([cmd, '--histograms', hists] + args)\n"
                 "         for cmd, args in (\n"
-                "             ('select', ['--k-max', '2']),\n"
-                "             ('train', ['--n-control', '1', '--n-treatment', '1']),\n"
-                "             ('validate', ['--n-control', '1', '--n-treatment', '1']))]\n"
-                "assert codes == [0, 0, 0], codes")
-        loaded = _scipy_modules_after(tmp_path, code)
-        assert not [m for m in loaded if m.startswith("scipy.optimize")], loaded
-        assert "scipy.special" in loaded  # p-values; the probe does see scipy
+                "             ('select', ['--k-max', '2'] + fast),\n"
+                "             ('train', ['--n-control', '1', '--n-treatment', '1'] + fast),\n"
+                "             ('validate', ['--n-control', '1', '--n-treatment', '1'] + fast),\n"
+                "             ('fit', ['--model', model, '--out-dir', 'out']))]\n"
+                "assert codes == [0, 0, 0, 0], codes")
+        assert _modules_after(tmp_path, code) == []
         assert (tmp_path / "out" / "loo_report.csv").is_file()
+        assert (tmp_path / "out" / "response_treated.csv").is_file()
+        code = ("from lpm.cli import main\n"
+                f"assert main(['baseline', '--histograms', "
+                f"{str(pipeline / 'histograms')!r}, '--out-dir', 'out']) == 0")
+        # the Student-t tail of the t-test; the probe does see scipy
+        assert "scipy.special" in _modules_after(tmp_path, code)
+
+    def test_help_and_serial_select_load_no_multiprocessing(self, pipeline, tmp_path):
+        code = ("from lpm.cli import main\n"
+                "try:\n"
+                "    main(['--help'])\n"
+                "except SystemExit:\n"
+                "    pass\n"
+                f"assert main(['select', '--histograms', "
+                f"{str(pipeline / 'histograms')!r}, '--k-max', '2', '--jobs', '1', "
+                "'--restarts', '1', '--max-iter', '200', '--out-dir', 'out']) == 0")
+        assert _modules_after(tmp_path, code, "multiprocessing") == []
+        assert (tmp_path / "out" / "selection_control.csv").is_file()

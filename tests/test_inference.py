@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.special
 
 from conftest import make_model, poisson_histogram
 from lpm.errors import EmptyInputError, ParameterError
-from lpm.inference import (combine_cohort, control_consistency, fit_and_score,
-                           quantity_covariance, response_result, two_tailed_p)
+from lpm.inference import (combine_cohort, control_consistency, erf, erfc,
+                           fit_and_score, ndtr, quantity_covariance,
+                           response_result, two_tailed_p)
 from lpm.histograms import BinningConfig, Histogram2D
 from lpm.model import LpmModel, fit_quantities, model_expectation
 from lpm.selection import GoodnessOfFit, chi2_statistic
@@ -20,6 +24,37 @@ class TestTwoTailedP:
 
     def test_capped_at_one(self):
         assert two_tailed_p(0.0) <= 1.0
+
+
+def _ndtr_inputs():
+    """10^5 seeded draws, then every branch edge of ndtr, erf and erfc with
+    its floating-point neighbours, signed zeros, subnormals, inf and nan."""
+    rng = np.random.default_rng(20)
+    draws = np.concatenate([rng.normal(size=40_000),
+                            rng.uniform(-40.0, 40.0, size=30_000),
+                            rng.standard_cauchy(size=30_000)]).tolist()
+    # |a| = 1 and sqrt(2): |x| = 1/sqrt(2) and 1 (ndtr, erf and erfc switch);
+    # 8 sqrt(2): x = 8 (erfc's second fit); sqrt(MAXLOG) sqrt(2): exp underflow
+    edges = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0),
+             math.sqrt(7.09782712893383996843E2) * math.sqrt(2.0), 37.7]
+    near = []
+    for e in edges + [x / math.sqrt(2.0) for x in edges]:
+        for v in (e, -e):
+            near += [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+    return draws + near + [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]
+
+
+class TestNdtr:
+    @pytest.mark.parametrize("ours, ref", [(ndtr, scipy.special.ndtr),
+                                           (erf, scipy.special.erf),
+                                           (erfc, scipy.special.erfc)],
+                             ids=["ndtr", "erf", "erfc"])
+    def test_bitwise_equal_to_scipy(self, ours, ref):
+        xs = _ndtr_inputs()
+        expected = ref(np.array(xs)).tolist()
+        mismatched = [(x, ours(x), e) for x, e in zip(xs, expected)
+                      if repr(ours(x)) != repr(e)]
+        assert not mismatched, mismatched[:5]
 
 
 class TestQuantityCovariance:

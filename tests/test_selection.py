@@ -54,10 +54,10 @@ class TestChi2PerDof:
         cohort = [poisson_histogram(model, np.array([5000.0, 3000.0]),
                                     seed=0, tumor_id="c0")]
         quantities = {"c0": fit_quantities(model, cohort[0])[0]}
-        with_q = chi2_per_dof(cohort, model, quantities)
-        without_q = chi2_per_dof(cohort, model, quantities,
-                                 count_quantities=False)
-        assert without_q.dof - with_q.dof == 2
+        gof = chi2_per_dof(cohort, model, quantities)
+        H = cohort[0].counts.reshape(-1)
+        informative = int(((H + model.P @ quantities["c0"]) > 0).sum())
+        assert gof.dof == informative - 2
 
     def test_trainable_pmf_params_within_support_union(self, small_binning):
         model = make_model(small_binning, n_control=1, seed=4)
@@ -78,11 +78,12 @@ class TestChi2PerDof:
 
 
 class TestChooseComponentCount:
-    def _points(self, chis, degenerate=None):
+    def _points(self, chis, degenerate=None, converged=None):
         degenerate = degenerate or [False] * len(chis)
+        converged = converged or [True] * len(chis)
         return [SelectionPoint(n_components=k + 1, chi2_per_dof=c,
-                               degenerate=d)
-                for k, (c, d) in enumerate(zip(chis, degenerate))]
+                               degenerate=d, converged=v)
+                for k, (c, d, v) in enumerate(zip(chis, degenerate, converged))]
 
     def test_stops_when_improvement_small(self):
         points = self._points([50.0, 1.05, 1.02, 0.98])
@@ -106,9 +107,15 @@ class TestChooseComponentCount:
         with pytest.raises(SelectionFailedError):
             choose_component_count(points)
 
+    def test_unconverged_points_skipped(self):
+        points = self._points([50.0, 20.0, 1.0, 0.99],
+                              converged=[True, True, False, True])
+        assert choose_component_count(points) == 4
+        with pytest.raises(SelectionFailedError):
+            choose_component_count(self._points([1.0], converged=[False]))
 
-@pytest.fixture(scope="module")
-def easy_sweep():
+
+def _easy_cohort():
     from lpm.histograms import BinningConfig
     from lpm.synth import SynthSpec, bump_pmf, generate
 
@@ -121,8 +128,13 @@ def easy_sweep():
                      cohort_sizes=(6, 0), counts_per_tumor=20000.0,
                      quantity_dirichlet_alpha=np.full(2, 1.2), seed=11)
     cohort, _, _ = generate(spec)
+    return cohort
+
+
+@pytest.fixture(scope="module")
+def easy_sweep():
     opts = TrainOptions(seed=11, restarts=2, max_iter=5000)
-    return select_components(cohort, "control", None, 1, 3, opts)
+    return select_components(_easy_cohort(), "control", None, 1, 3, opts)
 
 
 class TestSelectComponents:
@@ -147,6 +159,18 @@ class TestSelectComponents:
         chosen = [r for r in rows if r["chosen"] == "1"]
         assert len(chosen) == 1
         assert chosen[0]["n_components"] == "2"
+        assert [r["converged"] for r in rows] == ["1", "1", "1"]
+
+    def test_candidate_capped_by_max_iter_flagged_not_chosen(self):
+        # 20 maps converge K = 1 but stop K = 2 and 3 short; unflagged, the
+        # capped K = 2 would win on chi2/dof as it does in easy_sweep
+        opts = TrainOptions(seed=11, restarts=2, max_iter=20)
+        curve, best = select_components(_easy_cohort(), "control", None, 1, 3, opts)
+        assert [p.converged for p in curve.points] == [True, False, False]
+        assert curve.chosen == 1 and best.model.n_control == 1
+        rows = selection_table(curve)
+        assert rows[0][-1] == "converged"
+        assert [r[-1] for r in rows[1:]] == [1, 0, 0]
 
     def test_bad_sweep_bounds(self):
         with pytest.raises(ValueError):

@@ -44,10 +44,6 @@ class TestLeaveOneOut:
             assert not entry.failed
             assert entry.leave_one_out is not None
 
-    def test_models_built_counts_folds(self, report):
-        rep, control = report
-        assert rep.models_built == 1 + len(control)
-
     def test_clean_cohort_mostly_unflagged(self, report):
         rep, _ = report
         assert len(rep.outlier_flags) <= 1
