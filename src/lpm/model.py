@@ -191,27 +191,35 @@ def _em(H, P, Q, trainable, max_iter, tol, rng=None):
     diagnostics, degenerate_flag).
     """
     H = np.asarray(H, dtype=float)
-    populated = H > 0
-    H_populated = H[populated]
+    populated = np.flatnonzero(H)  # flat indices, in the order H[H > 0] reads
+    H_populated = H.take(populated)
     total_counts = H.sum()
     train_cols = np.flatnonzero(trainable)
     train_any = train_cols.size > 0
+    train_all = train_cols.size == trainable.size
 
     def expectation(P, Q):
-        return np.maximum(Q @ P.T, _M_FLOOR)
+        M = np.dot(Q, P.T)
+        return np.maximum(M, _M_FLOOR, out=M)
 
     def objective(Q, M):
-        return float(np.sum(H_populated * np.log(M[populated])) - Q.sum())
+        return float((H_populated * np.log(M.take(populated))).sum() - Q.sum())
+
+    def normalise(G, colsum, P):
+        """Trainable columns of G scaled to sum 1; the others (and any with
+        a non-positive sum) taken from P."""
+        if train_all and colsum.min() > 0:
+            return G / colsum
+        move = trainable & (colsum > 0)
+        return np.where(move, G / np.where(move, colsum, 1.0), P)
 
     def em_map(P, Q, M):
         """One multiplicative step from (P, Q), whose expectation is M."""
-        Q = Q * ((H / M) @ P)
+        Q = Q * np.dot(H / M, P)
         M = expectation(P, Q)
         if train_any:
-            G = P * ((H / M).T @ Q)
-            colsum = G.sum(axis=0)
-            move = trainable & (colsum > 0)
-            P = np.where(move, G / np.where(move, colsum, 1.0), P)
+            G = P * np.dot((H / M).T, Q)
+            P = normalise(G, G.sum(axis=0), P)
             M = expectation(P, Q)
         return P, Q, M
 
@@ -232,15 +240,15 @@ def _em(H, P, Q, trainable, max_iter, tol, rng=None):
         if step == 1.0:  # s = 1 lands exactly on theta2
             return P2, Q2, ratio
         Q = Q0 + (2.0 * step) * rQ + (step * step) * vQ
-        if np.any(Q < 0):
+        if Q.min() < 0:
             return None, None, ratio
         if not train_any:
             return P0, Q, ratio
         P = P0 + (2.0 * step) * rP + (step * step) * vP
         colsum = P.sum(axis=0)
-        if np.any(P < 0) or np.any(colsum <= 0):
+        if P.min() < 0 or colsum.min() <= 0:
             return None, None, ratio
-        return np.where(trainable, P / colsum, P0), Q, ratio
+        return (P / colsum if train_all else np.where(trainable, P / colsum, P0)), Q, ratio
 
     M = expectation(P, Q)
     prev = objective(Q, M)
