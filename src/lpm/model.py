@@ -23,13 +23,17 @@ The updates converge linearly, so _em accelerates them with SQUAREM
 P) takes two maps theta0 -> theta1 -> theta2, forms r = theta1 - theta0 and
 v = theta2 - 2 theta1 + theta0, and jumps to theta0 + 2s r + s^2 v with
 s = max(1, min(|r|/|v|, step_max)); trainable columns are renormalised and
-frozen ones kept bitwise. One more map stabilises the jump, which is kept
-only if it stayed non-negative and its objective is at least theta2's;
-otherwise the cycle ends at theta2. step_max starts at 1, grows 4x when
-|r|/|v| reaches it and shrinks 4x (not below 1) after a rejection. The
-convergence, decrease and collapse checks run once per cycle against the
-last accepted objective. Iterations count maps, 2 or 3 per cycle; max_iter
-caps them, and fewer than 3 left are spent as plain steps.
+frozen ones kept bitwise. A jump that leaves the non-negative cone is not
+dropped but shortened: s moves halfway to 1, s <- (s + 1) / 2, up to
+_BACKTRACKS times (s = 1 itself would land on theta2). One more map
+stabilises the jump, which is kept only if its objective is at least
+theta2's; otherwise, or when every shortened jump also left the cone, the
+cycle ends at theta2. step_max starts at 1, grows 4x when |r|/|v| reaches
+it and the jump was taken at full length, stays put when a shortened jump
+is kept, and shrinks 4x (not below 1) after a rejection. The convergence,
+decrease and collapse checks run once per cycle against the last accepted
+objective. Iterations count maps, 2 or 3 per cycle; max_iter caps them,
+and fewer than 3 left are spent as plain steps.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .histograms import BinningConfig, Histogram2D
 
 _M_FLOOR = 1e-300
 _DEGENERACY_FRACTION = 1e-6  # of total counts, per trainable component
+_BACKTRACKS = 5  # times s - 1 is halved when a SQUAREM jump leaves the cone
 
 
 @dataclass(frozen=True)
@@ -224,11 +229,13 @@ def _em(H, P, Q, trainable, max_iter, tol, rng=None):
         return P, Q, M
 
     def extrapolate(P0, Q0, P1, Q1, P2, Q2, step_max):
-        """SQUAREM point theta0 + 2s r + s^2 v and the ratio |r|/|v|.
+        """SQUAREM point theta0 + 2s r + s^2 v, the ratio |r|/|v| and
+        whether s was shortened.
 
         Frozen PMF columns are equal in all three points, so they add nothing
-        to r and v and are kept bitwise. The point is None when it leaves the
-        non-negative cone.
+        to r and v and are kept bitwise. A point outside the non-negative
+        cone is retried with s moved halfway to 1, up to _BACKTRACKS times;
+        the point is None when the last try is still outside.
         """
         rQ, vQ = Q1 - Q0, Q2 - 2.0 * Q1 + Q0
         r2, v2 = np.vdot(rQ, rQ), np.vdot(vQ, vQ)
@@ -238,17 +245,22 @@ def _em(H, P, Q, trainable, max_iter, tol, rng=None):
         ratio = np.sqrt(r2 / v2) if v2 > 0 else np.inf
         step = max(1.0, min(ratio, step_max))
         if step == 1.0:  # s = 1 lands exactly on theta2
-            return P2, Q2, ratio
-        Q = Q0 + (2.0 * step) * rQ + (step * step) * vQ
-        if Q.min() < 0:
-            return None, None, ratio
-        if not train_any:
-            return P0, Q, ratio
-        P = P0 + (2.0 * step) * rP + (step * step) * vP
-        colsum = P.sum(axis=0)
-        if P.min() < 0 or colsum.min() <= 0:
-            return None, None, ratio
-        return (P / colsum if train_all else np.where(trainable, P / colsum, P0)), Q, ratio
+            return P2, Q2, ratio, False
+        for tries in range(_BACKTRACKS + 1):
+            if tries:
+                step = 0.5 * (step + 1.0)
+            Q = Q0 + (2.0 * step) * rQ + (step * step) * vQ
+            if Q.min() < 0:
+                continue
+            if not train_any:
+                return P0, Q, ratio, tries > 0
+            P = P0 + (2.0 * step) * rP + (step * step) * vP
+            colsum = P.sum(axis=0)
+            if P.min() < 0 or colsum.min() <= 0:
+                continue
+            P = P / colsum if train_all else np.where(trainable, P / colsum, P0)
+            return P, Q, ratio, tries > 0
+        return None, None, ratio, True
 
     M = expectation(P, Q)
     prev = objective(Q, M)
@@ -267,7 +279,8 @@ def _em(H, P, Q, trainable, max_iter, tol, rng=None):
             P2, Q2, M2 = em_map(P1, Q1, M1)
             cur = objective(Q2, M2)
             it += 2
-            Px, Qx, ratio = extrapolate(P, Q, P1, Q1, P2, Q2, step_max)
+            Px, Qx, ratio, shortened = extrapolate(P, Q, P1, Q1, P2, Q2,
+                                                   step_max)
             accepted = False
             if Qx is not None:
                 Mx = M2 if Qx is Q2 else expectation(Px, Qx)
@@ -277,7 +290,7 @@ def _em(H, P, Q, trainable, max_iter, tol, rng=None):
                 accepted = cur_x >= cur
             if accepted:
                 P, Q, M, cur = Px, Qx, Mx, cur_x
-                if ratio >= step_max:
+                if ratio >= step_max and not shortened:
                     step_max *= 4.0
             else:
                 P, Q, M = P2, Q2, M2
