@@ -247,6 +247,9 @@ def cmd_fit(args, out: Path, meta: dict) -> int:
 
 
 def cmd_validate(args, out: Path, meta: dict) -> int:
+    """Run the LOO protocol; a failed fold is reported as fit reports a
+    failed tumor: its row reads "failed", it is named on stderr, and the
+    run exits 1 once loo_report.csv is written."""
     cohorts = _load_cohorts(args.histograms)
     report = leave_one_out(cohorts["control"], cohorts["treated"], args.n_control,
                            args.n_treatment, _train_options(args), jobs=args.jobs)
@@ -255,7 +258,10 @@ def cmd_validate(args, out: Path, meta: dict) -> int:
           f"{len(report.outlier_flags)} outlier flags")
     for tumor_id, reason in report.outlier_flags:
         print(f"  outlier {tumor_id}: {reason}")
-    return EXIT_OK
+    failed = [e for e in report.entries if e.failed]
+    for e in failed:
+        print(f"error: fold {e.tumor_id}: {e.reason}", file=sys.stderr)
+    return EXIT_ANALYSIS if failed else EXIT_OK
 
 
 def cmd_baseline(args, out: Path, meta: dict) -> int:

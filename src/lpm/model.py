@@ -49,6 +49,7 @@ from .histograms import BinningConfig, Histogram2D
 
 _M_FLOOR = 1e-300
 _DEGENERACY_FRACTION = 1e-6  # of total counts, per trainable component
+_STEP_MAX0 = 1.0  # SQUAREM's step_max at the start and after a re-seed
 _BACKTRACKS = 5  # times s - 1 is halved when a SQUAREM jump leaves the cone
 
 
@@ -62,6 +63,10 @@ class TrainOptions:
     def __post_init__(self):
         if self.restarts < 1:
             raise ParameterError(f"restarts must be >= 1, got {self.restarts}")
+        if self.max_iter < 1:
+            raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not self.tol >= 0:  # also rejects nan
+            raise ParameterError(f"tol must be >= 0, got {self.tol}")
 
 
 @dataclass
@@ -264,7 +269,7 @@ def _em(H, P, Q, trainable, max_iter, tol, rng=None):
 
     M = expectation(P, Q)
     prev = objective(Q, M)
-    step_max = 1.0
+    step_max = _STEP_MAX0
     converged = False
     reseeded = set()
     degenerate = False
@@ -317,7 +322,7 @@ def _em(H, P, Q, trainable, max_iter, tol, rng=None):
                     Q[:, k] = H.sum(axis=1) / P.shape[1]
                     M = expectation(P, Q)
                 prev = objective(Q, M)
-                step_max = 1.0
+                step_max = _STEP_MAX0
                 continue
             if weak:
                 degenerate = True

@@ -6,6 +6,8 @@ dependency.
 
 from __future__ import annotations
 
+import math
+
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#e377c2", "#17becf", "#bcbd22", "#7f7f7f"]
 
@@ -38,11 +40,29 @@ def _axes(title, xlabel, ylabel):
     return out
 
 
+def _marker(x, y, kind):
+    """A filled circle for a usable candidate, a red cross for a degenerate
+    one and a hollow orange circle for one whose training did not converge."""
+    if kind == "degenerate":
+        return (f'<path d="M {x - 5:.1f} {y - 5:.1f} l 10 10 m 0 -10 l -10 10" '
+                f'stroke="{_PALETTE[1]}" stroke-width="2"/>\n')
+    if kind == "unconverged":
+        return (f'<circle cx="{x:.1f}" cy="{y:.1f}" r="5" fill="white" '
+                f'stroke="{_PALETTE[4]}" stroke-width="2"/>\n')
+    return f'<circle cx="{x:.1f}" cy="{y:.1f}" r="4" fill="{_PALETTE[0]}"/>\n'
+
+
 def selection_curve_svg(curve) -> str:
-    """Chi2/dof against component count, with the chosen count marked."""
+    """Chi2/dof against component count, with the chosen count marked.
+
+    The curve joins the candidates with a finite statistic. Degenerate and
+    unconverged candidates get their own markers (see _marker), listed in a
+    legend; a candidate without a statistic (over-parameterised) is marked
+    on the K axis.
+    """
     ks = [p.n_components for p in curve.points]
-    ys = [p.chi2_per_dof for p in curve.points]
-    y_max = max(max(ys) * 1.1, 1.5)
+    finite = [p for p in curve.points if math.isfinite(p.chi2_per_dof)]
+    y_max = max([p.chi2_per_dof * 1.1 for p in finite] + [1.5])
     x_span = max(max(ks) - min(ks), 1)
 
     def sx(k):
@@ -51,20 +71,28 @@ def selection_curve_svg(curve) -> str:
     def sy(y):
         return HEIGHT - MARGIN - y / y_max * (HEIGHT - 2 * MARGIN)
 
+    def kind(p):
+        if p.degenerate:
+            return "degenerate"
+        return "usable" if p.converged else "unconverged"
+
     out = _header()
     out += _axes(f"Model selection ({curve.phase} phase)",
                  "number of components", "chi-squared per dof")
     out += (f'<line x1="{MARGIN}" y1="{sy(1.0):.1f}" x2="{WIDTH - MARGIN}" '
             f'y2="{sy(1.0):.1f}" stroke="#999" stroke-dasharray="4 4"/>\n')
-    pts = " ".join(f"{sx(k):.1f},{sy(y):.1f}" for k, y in zip(ks, ys))
+    pts = " ".join(f"{sx(p.n_components):.1f},{sy(p.chi2_per_dof):.1f}" for p in finite)
     out += f'<polyline points="{pts}" fill="none" stroke="{_PALETTE[0]}" stroke-width="2"/>\n'
     for p in curve.points:
-        color = "#d62728" if p.degenerate else _PALETTE[0]
-        out += (f'<circle cx="{sx(p.n_components):.1f}" '
-                f'cy="{sy(p.chi2_per_dof):.1f}" r="4" fill="{color}"/>\n')
+        y = p.chi2_per_dof if math.isfinite(p.chi2_per_dof) else 0.0
+        out += _marker(sx(p.n_components), sy(y), kind(p))
         out += _text(sx(p.n_components), HEIGHT - MARGIN + 16, str(p.n_components))
+    special = sorted({kind(p) for p in curve.points} - {"usable"})
+    for i, name in enumerate(special):
+        x, y = WIDTH - MARGIN - 110, MARGIN + 8 + 18 * i
+        out += _marker(x, y, name) + _text(x + 12, y + 4, name, anchor="start")
     if curve.chosen in ks:
-        y = ys[ks.index(curve.chosen)]
+        y = curve.points[ks.index(curve.chosen)].chi2_per_dof
         out += (f'<path d="M {sx(curve.chosen):.1f} {sy(y) - 30:.1f} '
                 f'l -6 -12 l 12 0 z" fill="black"/>\n')
         out += _text(sx(curve.chosen), sy(y) - 46, f"chosen K={curve.chosen}")

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import lpm
+from lpm import validation
 from lpm.cli import RESPONSE_COLUMNS, _load_cohorts, main
+from lpm.errors import AnalysisError
 from lpm.histograms import BinningConfig, Histogram2D, write_histogram_json
 from lpm.model import LpmModel, write_model_json
 
@@ -307,6 +309,28 @@ class TestExitCodes:
         assert "Tumors scored: 3\nTumors failed: trt02\n" in report
         assert "trt02:" not in report
 
+    def test_failed_fold_is_reported_and_exits_1(self, pipeline, tmp_path,
+                                                 capsys, monkeypatch):
+        hists = pipeline / "histograms"
+        first = _load_cohorts(hists)["control"][0].tumor_id
+        real = validation.train_control
+
+        def train_control(cohort, n_control, opts):
+            if cohort[0].tumor_id != first:  # the fold that leaves out `first`
+                raise AnalysisError("planted failure")
+            return real(cohort, n_control, opts)
+
+        monkeypatch.setattr(validation, "train_control", train_control)
+        assert run(["validate", "--histograms", hists, "--n-control", "1",
+                    "--n-treatment", "1", "--out-dir", tmp_path] + FAST) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error" in line]
+        assert errors == [f"error: fold {first}: planted failure"], err
+        header, *rows = csv.reader(
+            (tmp_path / "loo_report.csv").read_text().splitlines()[1:])
+        assert rows[0][0] == first and rows[0][2] == "failed"
+        assert all(row[2] != "failed" for row in rows[1:])
+
     def test_fit_on_control_only_model_is_input_error(self, pipeline, tmp_path,
                                                       capsys):
         hists = pipeline / "histograms"
@@ -334,6 +358,11 @@ class TestExitCodes:
                      "invalid int value: 'abc'", id="config-seed-abc"),
         pytest.param(["train", "--histograms", "{hists}", "--n-control", "1",
                       "--restarts", "0"], "restarts must be >= 1", id="restarts-0"),
+        pytest.param(["train", "--histograms", "{hists}", "--n-control", "1",
+                      "--max-iter", "0"], "max_iter must be >= 1", id="max-iter-0"),
+        pytest.param(["validate", "--histograms", "{hists}", "--n-control", "1",
+                      "--n-treatment", "1", "--tol=-1e-9"], "tol must be >= 0",
+                     id="tol-negative"),
     ])
     def test_bad_value_is_input_error(self, pipeline, tmp_path, capsys, argv,
                                       message):

@@ -251,6 +251,16 @@ class TestTrainControl:
         with pytest.raises(ParameterError, match="restarts"):
             TrainOptions(restarts=0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_iter": 0}, "max_iter must be >= 1"),
+        ({"max_iter": -5}, "max_iter must be >= 1"),
+        ({"tol": -1e-9}, "tol must be >= 0"),
+        ({"tol": float("nan")}, "tol must be >= 0"),
+    ])
+    def test_needs_a_map_and_a_non_negative_tol(self, kwargs, message):
+        with pytest.raises(ParameterError, match=message):
+            TrainOptions(**kwargs)
+
 
 class TestTrainTreatment:
     @pytest.fixture

@@ -23,7 +23,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpm import histograms
+from lpm import histograms, model
 from lpm.histograms import (COHORTS, BinningConfig, Histogram2D, bin_voxels,
                             load_signal_csv, load_voxel_csv, write_voxel_csv)
 from lpm.inference import quantity_covariance
@@ -104,6 +104,47 @@ def _plain_map(H, P, Q, trainable):
         P = P.copy()
         P[:, cols] = G[:, cols] / G[:, cols].sum(axis=0)
     return P, Q
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems(), st.sampled_from([0, 5, 20]),
+       st.sampled_from([1.0, 4.0, 64.0, 1e6]))
+def test_one_squarem_cycle_reaches_two_plain_steps(problem, warm, step_max0):
+    """One cycle (max_iter=3), from a start `warm` plain steps in, ends no
+    lower than two plain steps, inside the cone, with frozen columns
+    bitwise unchanged. A first step_max above 1 makes the cycle jump at
+    once, so jumps that leave the cone and are shortened are exercised
+    (about a third of the warm trainable draws)."""
+    H, P0, Q0, trainable, _ = problem
+    for _ in range(warm):
+        P0, Q0 = _plain_map(H, P0, Q0, trainable)
+    two_steps = _objective(H, *_plain_map(H, *_plain_map(H, P0, Q0, trainable),
+                                          trainable), trainable)
+    with mock.patch.object(model, "_STEP_MAX0", step_max0):
+        P, Q, diag, _ = _em(H, P0.copy(), Q0, trainable, 3, TOL)
+    assert diag.log_likelihood >= two_steps - _slack(two_steps)
+    assert np.all(Q >= 0) and np.all(P >= 0)
+    assert np.all(np.abs(P[:, trainable].sum(axis=0) - 1.0) <= 1e-12)
+    assert np.array_equal(P[:, ~trainable], P0[:, ~trainable])
+
+
+def test_shortened_jump_beats_dropping_it():
+    """A treatment-phase cycle whose full jump leaves the cone: shortening
+    it (the default) ends higher than ending the cycle at theta2."""
+    rng = np.random.default_rng(6)
+    P = np.ascontiguousarray(rng.dirichlet(np.ones(8), size=3).T)
+    H = rng.poisson(rng.uniform(0.0, 60.0, size=(3, 3)) @ P.T).astype(float)
+    Q = rng.uniform(3.0, 60.0, size=(3, 3))
+    trainable = np.array([False, True, True])
+    for _ in range(5):
+        P, Q = _plain_map(H, P, Q, trainable)
+    with mock.patch.object(model, "_STEP_MAX0", 64.0):
+        shortened = _em(H, P.copy(), Q, trainable, 3, TOL)
+        with mock.patch.object(model, "_BACKTRACKS", 0):
+            dropped = _em(H, P.copy(), Q, trainable, 3, TOL)
+    assert shortened[2].log_likelihood > dropped[2].log_likelihood
+    for P_end, _, _, _ in (shortened, dropped):
+        assert np.array_equal(P_end[:, 0], P[:, 0])
 
 
 def _quantity_fit(problem):
