@@ -263,8 +263,7 @@ def _em(H, P, Q, trainable, max_iter, tol, rng=None):
             colsum = P.sum(axis=0)
             if P.min() < 0 or colsum.min() <= 0:
                 continue
-            P = P / colsum if train_all else np.where(trainable, P / colsum, P0)
-            return P, Q, ratio, tries > 0
+            return normalise(P, colsum, P0), Q, ratio, tries > 0
         return None, None, ratio, True
 
     M = expectation(P, Q)
