@@ -114,7 +114,7 @@ def test_one_squarem_cycle_reaches_two_plain_steps(problem, warm, step_max0):
     lower than two plain steps, inside the cone, with frozen columns
     bitwise unchanged. A first step_max above 1 makes the cycle jump at
     once, so jumps that leave the cone and are shortened are exercised
-    (about a third of the warm trainable draws)."""
+    (in a third or more of the warm draws with trainable columns)."""
     H, P0, Q0, trainable, _ = problem
     for _ in range(warm):
         P0, Q0 = _plain_map(H, P0, Q0, trainable)
@@ -130,7 +130,8 @@ def test_one_squarem_cycle_reaches_two_plain_steps(problem, warm, step_max0):
 
 def test_shortened_jump_beats_dropping_it():
     """A treatment-phase cycle whose full jump leaves the cone: shortening
-    it (the default) ends higher than ending the cycle at theta2."""
+    it (the default) ends higher than dropping it, which ends the cycle at
+    theta2 and leaves one plain step."""
     rng = np.random.default_rng(6)
     P = np.ascontiguousarray(rng.dirichlet(np.ones(8), size=3).T)
     H = rng.poisson(rng.uniform(0.0, 60.0, size=(3, 3)) @ P.T).astype(float)
