@@ -7,6 +7,11 @@ once with that header embedded, so identical configurations produce
 byte-identical outputs.
 
 Exit codes: 0 success, 1 analysis-level failure, 2 input error.
+
+Only the histogram layer, and with it numpy, is imported at start-up; each
+subcommand imports the layers it runs, so ``lpm --help`` and ``lpm ingest``
+load no model, inference, selection, validation, baseline, synth or plotting
+code.
 """
 
 from __future__ import annotations
@@ -19,18 +24,10 @@ import sys
 from itertools import chain
 from pathlib import Path
 
-from . import baseline as baseline_mod
-from . import svgplots
 from .errors import AnalysisError, InputFormatError, LpmError
 from .histograms import (COHORTS, BinningConfig, Histogram2D, bin_voxels,
                          load_signal_csv, load_voxel_csv,
                          write_histogram_json, write_voxel_csv)
-from .inference import ResponseResult, combine_cohort, fit_and_score
-from .model import TrainOptions, read_model_json, train_control, \
-    train_treatment, write_model_json
-from .selection import select_components, selection_table
-from .synth import default_scenarios, generate, histogram_to_voxels
-from .validation import leave_one_out, loo_table
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
@@ -111,7 +108,8 @@ def _binning_from_args(args) -> BinningConfig:
                          n_adc_bins=args.bins)
 
 
-def _train_options(args) -> TrainOptions:
+def _train_options(args):
+    from .model import TrainOptions
     return TrainOptions(seed=args.seed, restarts=args.restarts,
                         max_iter=args.max_iter, tol=args.tol)
 
@@ -142,6 +140,7 @@ def cmd_ingest(args, out: Path, meta: dict) -> int:
 
 
 def cmd_synth(args, out: Path, meta: dict) -> int:
+    from .synth import default_scenarios, generate, histogram_to_voxels
     scenarios = default_scenarios(seed=args.seed)
     if args.preset not in scenarios:
         print(f"error: unknown preset {args.preset!r}; "
@@ -167,6 +166,7 @@ def cmd_synth(args, out: Path, meta: dict) -> int:
 
 
 def cmd_train(args, out: Path, meta: dict) -> int:
+    from .model import train_control, train_treatment, write_model_json
     cohorts = _load_cohorts(args.histograms)
     opts = _train_options(args)
     result = train_control(cohorts["control"], args.n_control, opts)
@@ -182,6 +182,9 @@ def cmd_train(args, out: Path, meta: dict) -> int:
 
 
 def cmd_select(args, out: Path, meta: dict) -> int:
+    from . import svgplots
+    from .model import write_model_json
+    from .selection import select_components, selection_table
     cohorts = _load_cohorts(args.histograms)
     treated = cohorts["treated"]
     opts = _train_options(args)
@@ -214,6 +217,8 @@ def cmd_fit(args, out: Path, meta: dict) -> int:
     A failed tumor's numeric cells read "failed", as in loo_table, and it is
     left out of the Stouffer combination; the run then exits 1.
     """
+    from .inference import combine_cohort, fit_and_score
+    from .model import read_model_json
     model = read_model_json(args.model)
     cohort = _load_cohorts(args.histograms)[args.cohort]
     if not cohort:
@@ -250,6 +255,7 @@ def cmd_validate(args, out: Path, meta: dict) -> int:
     """Run the LOO protocol; a failed fold is reported as fit reports a
     failed tumor: its row reads "failed", it is named on stderr, and the
     run exits 1 once loo_report.csv is written."""
+    from .validation import leave_one_out, loo_table
     cohorts = _load_cohorts(args.histograms)
     report = leave_one_out(cohorts["control"], cohorts["treated"], args.n_control,
                            args.n_treatment, _train_options(args), jobs=args.jobs)
@@ -265,14 +271,18 @@ def cmd_validate(args, out: Path, meta: dict) -> int:
 
 
 def cmd_baseline(args, out: Path, meta: dict) -> int:
-    tests, combined = baseline_mod.cohort_baseline(
+    from .baseline import baseline_table, cohort_baseline
+    tests, combined = cohort_baseline(
         chain.from_iterable(_load_cohorts(args.histograms).values()))
-    write_csv(out / "baseline.csv", meta, baseline_mod.baseline_table(tests, combined))
+    write_csv(out / "baseline.csv", meta, baseline_table(tests, combined))
     print(f"baseline combined z = {combined:.2f}")
     return EXIT_OK
 
 
 def cmd_report(args, out: Path, meta: dict) -> int:
+    from . import svgplots
+    from .inference import ResponseResult
+    from .model import read_model_json
     model = read_model_json(args.model)
     results = []
     failed = []  # tumors fit could not score

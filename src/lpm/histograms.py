@@ -4,9 +4,10 @@ The histogram grid is (ADC bin x timepoint), with timepoint 0 = baseline and
 timepoint 1 = follow-up. Bins are half-open [lo, hi); the last bin is closed
 so adc_max itself still lands in-grid.
 
-Voxels are held as columns (``VoxelTable``): CSV files are read in chunks of
-records, each chunk's fields are mapped to integer codes and float arrays in
-bulk, and binning is a single ``np.bincount``.
+Voxels are held as compact columns (``VoxelTable``): an int32 tumor code, an
+int8 timepoint code and a float64 ADC, 13 bytes per voxel. CSV files are read
+in chunks of records, each chunk's fields are mapped to integer codes and
+float arrays in bulk, and binning is a single ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ class BinningConfig:
 class VoxelTable:
     """Accepted voxels as columns; voxel i is (tumor[i], timepoint[i], adc[i])."""
 
-    tumor: np.ndarray  # index into tumor_ids
-    timepoint: np.ndarray  # index into TIMEPOINTS
+    tumor: np.ndarray  # int32 index into tumor_ids
+    timepoint: np.ndarray  # int8 index into TIMEPOINTS
     adc: np.ndarray  # finite and > 0 (mm^2/s)
     tumor_ids: tuple
     cohorts: tuple  # cohort of each tumor in tumor_ids
@@ -103,16 +104,20 @@ class VoxelTable:
         return len(self.adc)
 
 
-def _codes(values, code_of):
-    """Integer code of each value; code_of runs once per distinct value."""
+def _codes(values, code_of, dtype):
+    """Integer code of each value; code_of runs once per distinct value.
+
+    A code that dtype cannot hold raises OverflowError.
+    """
     table = {v: code_of(v) for v in dict.fromkeys(values)}
-    return np.fromiter(map(table.__getitem__, values), np.intp, len(values))
+    return np.fromiter(map(table.__getitem__, values), dtype, len(values))
 
 
 def _voxel_table(tumor, cohort, timepoint, adc, ids, path):
     """Assemble a VoxelTable, keeping only tumors that have voxels.
 
     cohort holds each voxel's cohort code; a tumor must have one cohort.
+    tumor is an int32 and cohort and timepoint are int8 columns.
     """
     n = np.bincount(tumor, minlength=len(ids))
     n_treated = np.bincount(tumor[cohort == 1], minlength=len(ids))
@@ -121,7 +126,7 @@ def _voxel_table(tumor, cohort, timepoint, adc, ids, path):
         raise InputFormatError(f"{path}: tumor {min(mixed)!r} is listed as both "
                                f"control and treated")
     keep = np.flatnonzero(n > 0)
-    code = np.zeros(len(ids), dtype=np.intp)
+    code = np.zeros(len(ids), dtype=np.int32)
     code[keep] = np.arange(len(keep))
     return VoxelTable(tumor=code[tumor], timepoint=timepoint, adc=adc,
                       tumor_ids=tuple(ids[k] for k in keep),
@@ -243,12 +248,22 @@ def bin_voxels(table: VoxelTable, config: BinningConfig):
         raise EmptyInputError("no voxel records to bin")
     nb = config.n_adc_bins
     adc = table.adc
-    # int() of the bin coordinate, the closed last bin, and slot nb for overflow
-    bins = np.clip((adc - config.adc_min) / config.width, 0, nb - 1).astype(np.intp)
-    bins[(adc < config.adc_min) | (adc > config.adc_max)] = nb
     n_tumors = len(table.tumor_ids)
-    counts = np.bincount((table.tumor * (nb + 1) + bins) * 2 + table.timepoint,
-                         minlength=n_tumors * (nb + 1) * 2).reshape(n_tumors, nb + 1, 2)
+    size = n_tumors * (nb + 1) * 2
+    # the narrowest signed type that holds every flat index, up to size - 1;
+    # each partial sum below is itself a flat index, so none can wrap
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if size - 1 <= np.iinfo(t).max)
+    # int() of the bin coordinate, the closed last bin, and slot nb for overflow
+    x = adc - config.adc_min
+    x /= config.width
+    flat = np.clip(x, 0, nb - 1, out=x).astype(dtype)
+    del x
+    flat[(adc < config.adc_min) | (adc > config.adc_max)] = nb
+    flat += table.tumor.astype(dtype) * (nb + 1)
+    flat *= 2
+    flat += table.timepoint
+    counts = np.bincount(flat, minlength=size).reshape(n_tumors, nb + 1, 2)
     out = {}
     for k in sorted(range(n_tumors), key=table.tumor_ids.__getitem__):
         tumor_id = table.tumor_ids[k]
@@ -359,11 +374,11 @@ def load_voxel_csv(path) -> VoxelLoadResult:
     """
     errors = []
     index = {}  # tumor id -> code
-    parts = ([], [], [], [])
+    parts = [[], [], [], []]
     for lines, (tumor, cohort, timepoint, adc), short in _csv_chunks(path, _VOXEL_COLUMNS):
-        t = _codes(timepoint, lambda v: _TIMEPOINT_CODES.get(v.strip(), -1))
-        c = _codes(cohort, lambda v: _COHORT_CODES.get(v.strip(), -1))
-        k = _codes(tumor, lambda v: index.setdefault(v.strip(), len(index)))
+        t = _codes(timepoint, lambda v: _TIMEPOINT_CODES.get(v.strip(), -1), np.int8)
+        c = _codes(cohort, lambda v: _COHORT_CODES.get(v.strip(), -1), np.int8)
+        k = _codes(tumor, lambda v: index.setdefault(v.strip(), len(index)), np.int32)
         x, _ = _floats(adc)
         ok = (t >= 0) & (c >= 0) & np.isfinite(x) & (x > 0)
         bad = [(int(lines[j]), _voxel_problem(timepoint[j], cohort[j], adc[j]))
@@ -371,8 +386,10 @@ def load_voxel_csv(path) -> VoxelLoadResult:
         errors.extend(sorted(short + bad))
         for part, column in zip(parts, (k, c, t, x)):
             part.append(column[ok])
-    k, c, t = (_cat(p, np.intp) for p in parts[:3])
-    table = _voxel_table(k, c, t, _cat(parts[3], float), list(index), path)
+    # popped, so each column's chunks are freed once they are joined
+    k, c, t, x = (_cat(parts.pop(0), dtype)
+                  for dtype in (np.int32, np.int8, np.int8, float))
+    table = _voxel_table(k, c, t, x, list(index), path)
     return VoxelLoadResult(records=table, errors=errors)
 
 
@@ -410,7 +427,7 @@ def load_signal_csv(path) -> VoxelLoadResult:
         keys = list(zip(*(map(str.strip, column) for column in key)))
         if len(good) < len(keys):
             keys = [keys[j] for j in good]
-        g = _codes(keys, lambda v: groups.setdefault(v, len(groups)))
+        g = _codes(keys, lambda v: groups.setdefault(v, len(groups)), np.intp)
         for part, column in zip(parts, (g, lines[ok], b[ok], s[ok])):
             part.append(column)
     group, lines = _cat(parts[0], np.intp), _cat(parts[1], np.intp)
@@ -418,14 +435,14 @@ def load_signal_csv(path) -> VoxelLoadResult:
                                   len(groups))
     first_line = lines[np.unique(group, return_index=True)[1]]
     tumor, cohort, timepoint, _ = zip(*groups) if groups else ((),) * 4
-    t = _codes(timepoint, lambda v: _TIMEPOINT_CODES.get(v, -1))
-    c = _codes(cohort, lambda v: _COHORT_CODES.get(v, -1))
+    t = _codes(timepoint, lambda v: _TIMEPOINT_CODES.get(v, -1), np.int8)
+    c = _codes(cohort, lambda v: _COHORT_CODES.get(v, -1), np.int8)
     ok = (problem == 0) & (t >= 0) & (c >= 0) & np.isfinite(adc) & (adc > 0)
     errors.extend((int(first_line[j]), _GROUP_PROBLEMS[problem[j]][1] if problem[j]
                    else _voxel_problem(timepoint[j], cohort[j], repr(float(adc[j]))))
                   for j in np.flatnonzero(~ok))
     index = {}
-    k = _codes(tumor, lambda v: index.setdefault(v, len(index)))
+    k = _codes(tumor, lambda v: index.setdefault(v, len(index)), np.int32)
     table = _voxel_table(k[ok], c[ok], t[ok], adc[ok], list(index), path)
     return VoxelLoadResult(records=table, errors=errors)
 

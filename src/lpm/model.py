@@ -434,9 +434,16 @@ def _purify_treatment(P, n_control):
     Treatment components represent variability the control model cannot
     account for; any admixture of control shape in a treatment column is
     unidentifiable (it trades off against control quantities) and inflates
-    treatment mass. Removing the best non-negative control combination
-    leaves the model span unchanged while pinning treatment columns to the
-    additional-variability end of the ridge.
+    treatment mass. Each treatment column has the best non-negative control
+    combination (NNLS) subtracted; the residual is clipped at zero and
+    renormalised, and a column whose residual is all zero is kept as it was.
+
+    The clip changes the model, not just its parametrisation: wherever the
+    control combination exceeds the column, the purified column is no
+    longer in the span of the trained model's columns, so the model can fit
+    worse. On lovo_like seed 1 (train 3+2, restarts 2) the treated cohort's
+    chi2/dof is 5.29 under the trained PMFs and 7.03 after purification and
+    the quantity refit. The caller refits quantities under the returned PMFs.
     """
     P = P.copy()
     Pc = P[:, :n_control]

@@ -507,6 +507,31 @@ class TestStartup:
         assert _modules_after(tmp_path, code) == []
         assert (tmp_path / "out" / "histograms" / "t1.json").is_file()
 
+    def test_help_and_ingest_load_no_later_layer(self, tmp_path):
+        path = tmp_path / "voxels.csv"
+        path.write_text("tumor_id,cohort,timepoint,adc\n"
+                        "t1,control,0,0.001\nt1,control,72,0.002\n")
+        code = ("from lpm.cli import main\n"
+                "for argv in (['--help'],\n"
+                "             ['ingest', '--voxels', 'voxels.csv', '--out-dir', 'out']):\n"
+                "    try:\n"
+                "        main(argv)\n"
+                "    except SystemExit:\n"
+                "        pass")
+        loaded = _modules_after(tmp_path, code, "lpm")
+        assert "lpm.histograms" in loaded
+        assert not {f"lpm.{m}" for m in ("model", "inference", "selection", "validation",
+                                         "baseline", "synth", "svgplots")} & set(loaded)
+        assert (tmp_path / "out" / "histograms" / "t1.json").is_file()
+
+    def test_every_export_resolves(self, tmp_path):
+        code = ("import importlib, lpm\n"
+                "assert set(lpm.__all__) <= set(dir(lpm))\n"
+                "for name in lpm.__all__:\n"
+                "    value = getattr(lpm, name)\n"
+                "    assert value is getattr(importlib.import_module(value.__module__), name)")
+        assert "lpm.validation" in _modules_after(tmp_path, code, "lpm")
+
     def test_training_and_scoring_commands_load_no_scipy(self, pipeline, tmp_path):
         fast = ["--restarts", "1", "--max-iter", "200", "--out-dir", "out"]
         code = ("from lpm.cli import main\n"

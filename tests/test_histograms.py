@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,20 @@ import pytest
 from lpm import histograms
 from lpm.errors import (DegenerateDesignError, EmptyInputError,
                         InputFormatError)
-from lpm.histograms import (TIMEPOINTS, BinningConfig, Histogram2D, bin_voxels,
-                            fit_adc, fit_adc_with_s0, load_signal_csv,
-                            load_voxel_csv, read_histogram_json,
+from lpm.histograms import (COHORTS, TIMEPOINTS, BinningConfig, Histogram2D,
+                            VoxelTable, bin_voxels, fit_adc, fit_adc_with_s0,
+                            load_signal_csv, load_voxel_csv, read_histogram_json,
                             write_histogram_json, write_voxel_csv)
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), peak bytes tracemalloc saw allocated while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestBinningConfig:
@@ -213,6 +224,30 @@ class TestBinVoxels:
         assert np.array_equal(h.counts[:, 0], expected)
         assert h.overflow == 2
 
+    @pytest.mark.parametrize("n_tumors", [1, 2, 497])  # int8, int16, int32 flat index
+    def test_counts_match_int64_reference_in_compact_memory(self, n_tumors):
+        config = BinningConfig(adc_min=1e-4, adc_max=3e-3, n_adc_bins=32)
+        nb, n = config.n_adc_bins, 300_000
+        rng = np.random.default_rng(n_tumors)
+        adc = rng.uniform(0.5e-4, 3.5e-3, n)  # below, inside and above the grid
+        adc[::7] = config.adc_max  # the closed last bin
+        table = VoxelTable(tumor=rng.integers(0, n_tumors, n, dtype=np.int32),
+                           timepoint=rng.integers(0, 2, n, dtype=np.int8), adc=adc,
+                           tumor_ids=tuple(f"t{k:03d}" for k in range(n_tumors)),
+                           cohorts=("control",) * n_tumors)
+        bins = np.clip((adc - config.adc_min) / config.width, 0, nb - 1).astype(np.int64)
+        bins[(adc < config.adc_min) | (adc > config.adc_max)] = nb
+        ref = np.zeros((n_tumors, nb + 1, 2), dtype=np.int64)
+        np.add.at(ref, (table.tumor.astype(np.int64), bins,
+                        table.timepoint.astype(np.int64)), 1)
+        hists, peak = traced_peak(bin_voxels, table, config)
+        for k, tumor_id in enumerate(table.tumor_ids):
+            assert np.array_equal(hists[tumor_id].counts, ref[k, :nb])
+            assert hists[tumor_id].overflow == ref[k, nb].sum()
+        assert ref[:, nb - 1].sum() >= n // 7 and ref[:, nb].sum() > 0
+        # one float64 temporary, the flat index and bincount's intp copy of it
+        assert peak <= 14 * n
+
 
 class TestVoxelCsv:
     def test_roundtrip(self, tmp_path):
@@ -273,6 +308,26 @@ class TestVoxelCsv:
         assert loaded.records.tumor_ids == ("t\n1", "t2")
         assert len(loaded.records) == 3
         assert [line for line, _ in loaded.errors] == [5, 7]
+    def test_compact_columns(self, tmp_path):
+        path = tmp_path / "voxels.csv"
+        write_voxel_csv(path, [("t1", "control", "baseline", 1e-3),
+                               ("t2", "treated", "followup", 2e-3)])
+        table = load_voxel_csv(path).records
+        assert (table.tumor.dtype, table.timepoint.dtype, table.adc.dtype) == (
+            np.int32, np.int8, np.float64)
+
+    def test_load_peak_memory_per_voxel(self, tmp_path):
+        n = 100_000
+        rng = np.random.default_rng(0)
+        path = tmp_path / "voxels.csv"
+        write_voxel_csv(path, ((f"t{k}", COHORTS[k % 2], TIMEPOINTS[t], float(a))
+                               for k, t, a in zip(rng.integers(0, 20, n),
+                                                  rng.integers(0, 2, n),
+                                                  rng.uniform(1e-4, 3e-3, n))))
+        loaded, peak = traced_peak(load_voxel_csv, path)
+        assert len(loaded.records) == n
+        assert peak <= 40 * n
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "voxels.csv"
         path.write_text("tumor_id,cohort,adc\nt1,control,0.001\n")
@@ -298,6 +353,9 @@ class TestSignalCsv:
         assert loaded.errors == []
         assert len(loaded.records) == 1
         assert loaded.records.adc[0] == pytest.approx(d, rel=1e-10)
+        table = loaded.records
+        assert (table.tumor.dtype, table.timepoint.dtype, table.adc.dtype) == (
+            np.int32, np.int8, np.float64)
 
     def test_degenerate_group_reported(self, tmp_path):
         path = tmp_path / "signals.csv"
