@@ -250,8 +250,8 @@ def bin_voxels(table: VoxelTable, config: BinningConfig):
     adc = table.adc
     n_tumors = len(table.tumor_ids)
     size = n_tumors * (nb + 1) * 2
-    # the narrowest signed type that holds every flat index, up to size - 1;
-    # each partial sum below is itself a flat index, so none can wrap
+    # the narrowest signed type that holds the largest flat index, size - 1;
+    # no partial result below exceeds it, so none can wrap
     dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
                  if size - 1 <= np.iinfo(t).max)
     # int() of the bin coordinate, the closed last bin, and slot nb for overflow

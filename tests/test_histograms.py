@@ -260,6 +260,8 @@ class TestVoxelCsv:
         table = loaded.records
         assert [(table.tumor_ids[k], table.cohorts[k], TIMEPOINTS[t], a)
                 for k, t, a in zip(table.tumor, table.timepoint, table.adc)] == rows
+        assert (table.tumor.dtype, table.timepoint.dtype, table.adc.dtype) == (
+            np.int32, np.int8, np.float64)
 
     def test_hour_labels_accepted(self, tmp_path):
         path = tmp_path / "voxels.csv"
@@ -308,13 +310,6 @@ class TestVoxelCsv:
         assert loaded.records.tumor_ids == ("t\n1", "t2")
         assert len(loaded.records) == 3
         assert [line for line, _ in loaded.errors] == [5, 7]
-    def test_compact_columns(self, tmp_path):
-        path = tmp_path / "voxels.csv"
-        write_voxel_csv(path, [("t1", "control", "baseline", 1e-3),
-                               ("t2", "treated", "followup", 2e-3)])
-        table = load_voxel_csv(path).records
-        assert (table.tumor.dtype, table.timepoint.dtype, table.adc.dtype) == (
-            np.int32, np.int8, np.float64)
 
     def test_load_peak_memory_per_voxel(self, tmp_path):
         n = 100_000
