@@ -7,12 +7,15 @@ so adc_max itself still lands in-grid.
 Voxels are held as compact columns (``VoxelTable``): an int32 tumor code, an
 int8 timepoint code and a float64 ADC, 13 bytes per voxel. CSV files are read
 in chunks of records, each chunk's fields are mapped to integer codes and
-float arrays in bulk, and binning is a single ``np.bincount``.
+float arrays in bulk, and binning is a single ``np.bincount``. A chunk of
+plain lines (ASCII, with no quote or NUL) is split into fields with numpy;
+from the first chunk that is not plain on, ``csv.reader`` reads the records.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
@@ -21,6 +24,7 @@ from itertools import islice
 from operator import itemgetter
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DegenerateDesignError, EmptyInputError, InputFormatError,
                      ParameterError)
@@ -36,7 +40,8 @@ _TIMEPOINT_CODES = {label: TIMEPOINTS.index(name)
                     for label, name in _TIMEPOINT_LABELS.items()}
 _COHORT_CODES = {name: k for k, name in enumerate(COHORTS)}
 
-_CHUNK_ROWS = 2048  # CSV records parsed per chunk
+_CHUNK_ROWS = 2048  # CSV records (physical lines while they are plain) per chunk
+_FIELD_MAX = 1024  # widest requested field, in bytes, that a plain chunk holds
 _LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 
@@ -104,20 +109,48 @@ class VoxelTable:
         return len(self.adc)
 
 
-def _codes(values, code_of, dtype):
-    """Integer code of each value; code_of runs once per distinct value.
+def _narrowest(bound):
+    """The narrowest signed integer type that holds every value in 0..bound."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                if bound <= np.iinfo(t).max)
 
+
+def _str(field):
+    """A raw field, or a tuple of them, as str; plain chunks hold ASCII bytes."""
+    if isinstance(field, tuple):
+        return tuple(map(_str, field))
+    return field.decode() if isinstance(field, bytes) else field
+
+
+def _codes(columns, code_of, dtype):
+    """Integer code of each row; code_of runs once per distinct row.
+
+    columns is one array of raw fields or a tuple of them, and code_of gets
+    a row as a str or as a tuple of str. Rows are coded in order of first
+    appearance, and each run of equal neighbouring rows is looked up once.
     A code that dtype cannot hold raises OverflowError.
     """
-    table = {v: code_of(v) for v in dict.fromkeys(values)}
-    return np.fromiter(map(table.__getitem__, values), dtype, len(values))
+    if not isinstance(columns, tuple):
+        columns = (columns,)
+    n = len(columns[0])
+    starts = np.zeros(n, dtype=bool)
+    starts[:1] = True
+    for column in columns:
+        starts[1:] |= column[1:] != column[:-1]
+    starts = np.flatnonzero(starts)
+    keys = [column[starts].tolist() for column in columns]
+    keys = keys[0] if len(keys) == 1 else list(zip(*keys))
+    table = {v: code_of(_str(v)) for v in dict.fromkeys(keys)}
+    codes = np.fromiter(map(table.__getitem__, keys), dtype, len(keys))
+    return np.repeat(codes, np.diff(starts, append=n))
 
 
 def _voxel_table(tumor, cohort, timepoint, adc, ids, path):
     """Assemble a VoxelTable, keeping only tumors that have voxels.
 
-    cohort holds each voxel's cohort code; a tumor must have one cohort.
-    tumor is an int32 and cohort and timepoint are int8 columns.
+    cohort holds each voxel's cohort code; a tumor must have one cohort, and
+    its id must be able to name its histogram file. tumor is an int32 and
+    cohort and timepoint are int8 columns.
     """
     n = np.bincount(tumor, minlength=len(ids))
     n_treated = np.bincount(tumor[cohort == 1], minlength=len(ids))
@@ -126,10 +159,14 @@ def _voxel_table(tumor, cohort, timepoint, adc, ids, path):
         raise InputFormatError(f"{path}: tumor {min(mixed)!r} is listed as both "
                                f"control and treated")
     keep = np.flatnonzero(n > 0)
+    tumor_ids = tuple(ids[k] for k in keep)
+    unsafe = [t for t in tumor_ids if t in ("", ".", "..") or "/" in t or "\0" in t]
+    if unsafe:
+        raise InputFormatError(f"{path}: tumor id {unsafe[0]!r} cannot name a "
+                               f"histogram file")
     code = np.zeros(len(ids), dtype=np.int32)
     code[keep] = np.arange(len(keep))
-    return VoxelTable(tumor=code[tumor], timepoint=timepoint, adc=adc,
-                      tumor_ids=tuple(ids[k] for k in keep),
+    return VoxelTable(tumor=code[tumor], timepoint=timepoint, adc=adc, tumor_ids=tumor_ids,
                       cohorts=tuple(COHORTS[int(n_treated[k] > 0)] for k in keep))
 
 
@@ -252,8 +289,7 @@ def bin_voxels(table: VoxelTable, config: BinningConfig):
     size = n_tumors * (nb + 1) * 2
     # the narrowest signed type that holds the largest flat index, size - 1;
     # no partial result below exceeds it, so none can wrap
-    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
-                 if size - 1 <= np.iinfo(t).max)
+    dtype = _narrowest(size - 1)
     # int() of the bin coordinate, the closed last bin, and slot nb for overflow
     x = adc - config.adc_min
     x /= config.width
@@ -290,37 +326,128 @@ def _csv_chunks(path, columns):
     """Stream a CSV file in chunks of at most _CHUNK_ROWS records.
 
     Yields (lines, fields, short) per chunk: the line number of each record
-    with every requested field, one list of raw strings per requested
+    with every requested field, one array of raw fields per requested
     column, and (line, message) for the records that lack one. Blank lines
     are skipped. A record's line number is the physical line it ends on.
+
+    A chunk of plain lines (ASCII, with no quote or NUL, and every CR
+    followed by LF) is split with numpy, and its fields are ASCII bytes.
+    From the first chunk that is not plain to the end of the file,
+    csv.reader reads the records, and their fields are str objects.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise InputFormatError(f"{path}: empty file")
-            index = {name: i for i, name in enumerate(header)}
-            missing = [c for c in columns if c not in index]
-            if missing:
-                raise InputFormatError(f"{path}: missing columns {missing}")
-            wanted = [index[c] for c in columns]
-            width = max(wanted) + 1
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        if not header or _split_plain(header) is None:
+            fh.seek(0)
+            yield from _reader_chunks(path, fh, 0, columns, None)
+            return
+        text = header.rstrip(b"\r\n").decode()
+        wanted = _wanted(path, columns, text.split(",") if text else [])
+        offset, base = len(header), 1
+        while lines := list(islice(fh, _CHUNK_ROWS)):
+            buf = b"".join(lines)
+            chunk = _plain_chunk(buf, base, columns, wanted)
+            if chunk is None:
+                fh.seek(offset)
+                yield from _reader_chunks(path, fh, base, columns, wanted)
+                return
+            yield chunk
+            offset += len(buf)
+            base += len(lines)
+
+
+def _wanted(path, columns, header):
+    """Index of each requested column in the header's field names."""
+    if header is None:
+        raise InputFormatError(f"{path}: empty file")
+    index = {name: i for i, name in enumerate(header)}
+    missing = [c for c in columns if c not in index]
+    if missing:
+        raise InputFormatError(f"{path}: missing columns {missing}")
+    return [index[c] for c in columns]
+
+
+def _missing(columns, wanted, n_fields):
+    """Rejection message of a record with n_fields fields."""
+    return f"missing fields {[c for c, i in zip(columns, wanted) if i >= n_fields]}"
+
+
+def _split_plain(buf):
+    """Where the lines and commas of a plain chunk are, or None when it is not plain.
+
+    Returns (data, start, stop, comma): the chunk as uint8, where each line's
+    text begins and ends (its LF or CRLF left out), and every comma.
+    """
+    data = np.frombuffer(buf, np.uint8)
+    cr = np.flatnonzero(data == 13)
+    if (data.max() > 127 or not data.all() or (data == 34).any()
+            or (data[np.minimum(cr + 1, len(data) - 1)] != 10).any()):
+        return None
+    stop = np.flatnonzero(data == 10)
+    if data[-1] != 10:
+        stop = np.append(stop, len(data))
+    start = np.append(0, stop[:-1] + 1)
+    stop -= data[stop - 1] == 13
+    if (stop - start).max() > csv.field_size_limit():
+        return None  # csv.reader rejects such a field
+    return data, start, stop, np.flatnonzero(data == 44)
+
+
+def _plain_chunk(buf, base, columns, wanted):
+    """(lines, fields, short) of a chunk whose first line is physical line
+    base + 1, or None when the chunk is not plain or a field is too wide."""
+    split = _split_plain(buf)
+    if split is None:
+        return None
+    data, start, stop, comma = split
+    first = np.searchsorted(comma, start)  # each line's first comma
+    n_fields = np.where(start < stop, np.searchsorted(comma, stop) - first + 1, 0)
+    width = max(wanted) + 1
+    rows = np.flatnonzero(n_fields >= width)
+    first = first[rows]
+    comma = np.append(comma, len(data))
+    bounds = [(start[rows] if i == 0 else comma[first + i - 1] + 1,
+               np.minimum(comma[first + i], stop[rows])) for i in wanted]
+    if any((hi - lo).max(initial=0) > _FIELD_MAX for lo, hi in bounds):
+        return None
+    padded = np.append(data, np.zeros(_FIELD_MAX, np.uint8))
+    short = [(base + 1 + j, _missing(columns, wanted, n_fields[j]))
+             for j in np.flatnonzero((n_fields > 0) & (n_fields < width)).tolist()]
+    return base + 1 + rows, [_fixed_width(padded, lo, hi) for lo, hi in bounds], short
+
+
+def _fixed_width(data, lo, hi):
+    """data[lo[i]:hi[i]] for every i, as one fixed-width bytes array."""
+    size = hi - lo
+    width = max(int(size.max(initial=0)), 1)
+    fields = sliding_window_view(data, width)[lo]
+    fields *= np.arange(width) < size[:, None]  # zero the bytes past each field
+    return fields.view(f"S{width}").ravel()
+
+
+def _reader_chunks(path, fh, base, columns, wanted):
+    """Chunks that csv.reader reads from fh, whose next line is physical
+    line base + 1; the header is read first when wanted is None."""
+    reader = csv.reader(io.TextIOWrapper(fh, newline=""))
+    try:
+        if wanted is None:
+            wanted = _wanted(path, columns, next(reader, None))
+        width = max(wanted) + 1
+        start = reader.line_num
+        while rows := list(islice(reader, _CHUNK_ROWS)):
+            lines = base + _record_lines(rows, start, reader.line_num)
             start = reader.line_num
-            while rows := list(islice(reader, _CHUNK_ROWS)):
-                lines = _record_lines(rows, start, reader.line_num)
-                start = reader.line_num
-                short = []
-                if min(map(len, rows)) < width:
-                    short = [(int(line), "missing fields "
-                              f"{[c for c, i in zip(columns, wanted) if i >= len(row)]}")
-                             for line, row in zip(lines, rows) if 0 < len(row) < width]
-                    keep = [j for j, row in enumerate(rows) if len(row) >= width]
-                    rows = [rows[j] for j in keep]
-                    lines = lines[keep]
-                yield lines, [list(map(itemgetter(i), rows)) for i in wanted], short
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise InputFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+            short = []
+            if min(map(len, rows)) < width:
+                short = [(int(line), _missing(columns, wanted, len(row)))
+                         for line, row in zip(lines, rows) if 0 < len(row) < width]
+                keep = [j for j, row in enumerate(rows) if len(row) >= width]
+                rows = [rows[j] for j in keep]
+                lines = lines[keep]
+            yield lines, [np.fromiter(map(itemgetter(i), rows), object, len(rows))
+                          for i in wanted], short
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise InputFormatError(f"{path}: line {base + reader.line_num}: {exc}") from None
 
 
 def _record_lines(rows, start, end):
@@ -332,14 +459,15 @@ def _record_lines(rows, start, end):
     return start + np.cumsum(spans)
 
 
-def _floats(values):
-    """(floats, mask of the values float() rejects, those set to NaN)."""
+def _floats(fields):
+    """(floats, mask of the fields float() rejects, those set to NaN)."""
     try:
-        return (np.fromiter(map(float, values), float, len(values)),
-                np.zeros(len(values), dtype=bool))
+        return fields.astype(np.float64), np.zeros(len(fields), dtype=bool)
     except ValueError:
-        failed = np.array([_float_error(v) is not None for v in values])
-        return np.array([math.nan if f else float(v) for v, f in zip(values, failed)]), failed
+        values = list(map(_str, fields.tolist()))
+        failed = np.array([_float_error(v) is not None for v in values], dtype=bool)
+        return np.array([math.nan if f else float(v) for v, f in zip(values, failed)],
+                        dtype=float), failed
 
 
 def _float_error(value):
@@ -381,9 +509,10 @@ def load_voxel_csv(path) -> VoxelLoadResult:
         k = _codes(tumor, lambda v: index.setdefault(v.strip(), len(index)), np.int32)
         x, _ = _floats(adc)
         ok = (t >= 0) & (c >= 0) & np.isfinite(x) & (x > 0)
-        bad = [(int(lines[j]), _voxel_problem(timepoint[j], cohort[j], adc[j]))
-               for j in np.flatnonzero(~ok)]
-        errors.extend(sorted(short + bad))
+        bad = np.flatnonzero(~ok)
+        bad = zip(lines[bad].tolist(), *(map(_str, f[bad].tolist())
+                                         for f in (timepoint, cohort, adc)))
+        errors.extend(sorted(short + [(line, _voxel_problem(*f)) for line, *f in bad]))
         for part, column in zip(parts, (k, c, t, x)):
             part.append(column[ok])
     # popped, so each column's chunks are freed once they are joined
@@ -415,26 +544,34 @@ def load_signal_csv(path) -> VoxelLoadResult:
     """
     errors = []
     groups = {}  # (tumor_id, cohort, timepoint, voxel_id) -> group code
-    parts = ([], [], [], [])
+    parts = [[], [], [], []]  # per row: group code, b, signal; per group: first line
     for lines, (*key, b_raw, s_raw), short in _csv_chunks(path, _SIGNAL_COLUMNS):
         b, b_bad = _floats(b_raw)
         s, s_bad = _floats(s_raw)
         ok = ~(b_bad | s_bad)
-        bad = [(int(lines[j]), _float_error(b_raw[j]) or _float_error(s_raw[j]))
-               for j in np.flatnonzero(~ok)]
-        errors.extend(sorted(short + bad))
-        good = np.flatnonzero(ok)
-        keys = list(zip(*(map(str.strip, column) for column in key)))
-        if len(good) < len(keys):
-            keys = [keys[j] for j in good]
-        g = _codes(keys, lambda v: groups.setdefault(v, len(groups)), np.intp)
-        for part, column in zip(parts, (g, lines[ok], b[ok], s[ok])):
+        bad = np.flatnonzero(~ok)
+        bad = zip(lines[bad].tolist(), *(map(_str, f[bad].tolist()) for f in (b_raw, s_raw)))
+        errors.extend(sorted(short + [(line, _float_error(b) or _float_error(s))
+                                      for line, b, s in bad]))
+        known = len(groups)
+        g = _codes(tuple(column[ok] for column in key),
+                   lambda v: groups.setdefault(tuple(map(str.strip, v)), len(groups)),
+                   np.int64)
+        code, first = np.unique(g, return_index=True)
+        # codes follow first appearance: the chunk's new groups start at their first rows
+        for part, column in zip(parts, (g.astype(_narrowest(len(groups))), b[ok], s[ok],
+                                        lines[ok][first[code >= known]])):
             part.append(column)
-    group, lines = _cat(parts[0], np.intp), _cat(parts[1], np.intp)
-    adc, _, problem = _fit_groups(group, _cat(parts[2], float), _cat(parts[3], float),
-                                  len(groups))
-    first_line = lines[np.unique(group, return_index=True)[1]]
-    tumor, cohort, timepoint, _ = zip(*groups) if groups else ((),) * 4
+    # each group's tumor id, cohort and timepoint; the keys and voxel ids are
+    # freed before the fit
+    fields = list(zip(*groups)) or [()] * 4
+    groups.clear()
+    tumor, cohort, timepoint = (np.array(f, dtype=object) for f in fields[:3])
+    del fields
+    # popped, so each column's chunks are freed once they are joined
+    group, b, s, first_line = (_cat(parts.pop(0), dtype)
+                               for dtype in (np.int8, float, float, np.intp))
+    adc, _, problem = _fit_groups(group, b, s, len(tumor))
     t = _codes(timepoint, lambda v: _TIMEPOINT_CODES.get(v, -1), np.int8)
     c = _codes(cohort, lambda v: _COHORT_CODES.get(v, -1), np.int8)
     ok = (problem == 0) & (t >= 0) & (c >= 0) & np.isfinite(adc) & (adc > 0)

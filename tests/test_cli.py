@@ -231,6 +231,19 @@ class TestExitCodes:
         path.write_text("a,b\n1,2\n")
         assert run(["ingest", "--voxels", path, "--out-dir", tmp_path]) == 2
 
+    @pytest.mark.parametrize("tumor_id", ["../escaped", "", "a/b", "t\0"])
+    def test_unsafe_tumor_id_is_input_error_and_writes_nothing(self, tmp_path, tumor_id,
+                                                              capsys):
+        path = tmp_path / "voxels.csv"
+        path.write_text("tumor_id,cohort,timepoint,adc\n"
+                        "t1,control,0,0.001\n"
+                        f"{tumor_id},control,0,0.001\n")
+        out = tmp_path / "out" / "run"
+        out.mkdir(parents=True)
+        assert run(["ingest", "--voxels", path, "--out-dir", out]) == 2
+        assert "cannot name a histogram file" in capsys.readouterr().err
+        assert list((tmp_path / "out").rglob("*")) == [out]
+
     def test_unknown_preset_is_input_error(self, tmp_path):
         assert run(["synth", "--preset", "nope", "--out-dir", tmp_path]) == 2
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -311,6 +312,20 @@ class TestVoxelCsv:
         assert len(loaded.records) == 3
         assert [line for line, _ in loaded.errors] == [5, 7]
 
+    def test_field_wider_than_plain_chunks_hold(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(histograms, "_CHUNK_ROWS", 2)
+        wide = "t" * (histograms._FIELD_MAX + 1)
+        path = tmp_path / "voxels.csv"
+        path.write_text("tumor_id,cohort,timepoint,adc\n"
+                        "t1,control,0,0.001\n"
+                        "t1,control,0,x\n"
+                        f"{wide},treated,72,0.002\n"
+                        "t1,control,72,0.003\n")
+        loaded = load_voxel_csv(path)
+        assert loaded.records.tumor_ids == ("t1", wide)
+        assert loaded.records.adc.tolist() == [0.001, 0.002, 0.003]
+        assert loaded.errors == [(3, "could not convert string to float: 'x'")]
+
     def test_load_peak_memory_per_voxel(self, tmp_path):
         n = 100_000
         rng = np.random.default_rng(0)
@@ -322,6 +337,25 @@ class TestVoxelCsv:
         loaded, peak = traced_peak(load_voxel_csv, path)
         assert len(loaded.records) == n
         assert peak <= 40 * n
+
+    @pytest.mark.parametrize("tumor_id", ["../escaped", "", " ", ".", "..", "a/b", "t\0"])
+    def test_unsafe_tumor_id_rejected(self, tmp_path, tumor_id):
+        path = tmp_path / "voxels.csv"
+        path.write_text("tumor_id,cohort,timepoint,adc\n"
+                        "t1,control,0,0.001\n"
+                        f"{tumor_id},control,0,0.001\n")
+        with pytest.raises(InputFormatError, match=f"voxels.csv: tumor id "
+                           f"{re.escape(repr(tumor_id.strip()))} cannot name"):
+            load_voxel_csv(path)
+
+    def test_unsafe_tumor_id_of_rejected_rows_only_is_kept_out(self, tmp_path):
+        path = tmp_path / "voxels.csv"
+        path.write_text("tumor_id,cohort,timepoint,adc\n"
+                        "t1,control,0,0.001\n"
+                        "../x,control,0,n/a\n")
+        loaded = load_voxel_csv(path)
+        assert loaded.records.tumor_ids == ("t1",)
+        assert [line for line, _ in loaded.errors] == [3]
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "voxels.csv"
@@ -377,3 +411,28 @@ class TestSignalCsv:
                                  (8, "missing fields ['b', 'signal']"),
                                  (3, "need at least 2 distinct b-values"),
                                  (6, "unknown timepoint '48'")]
+
+    @pytest.mark.parametrize("tumor_id", ["../escaped", "", "..", "a/b", "t\0"])
+    def test_unsafe_tumor_id_rejected(self, tmp_path, tumor_id):
+        path = tmp_path / "signals.csv"
+        path.write_text("tumor_id,cohort,timepoint,voxel_id,b,signal\n"
+                        f"{tumor_id},control,0,v1,0,1000\n"
+                        f"{tumor_id},control,0,v1,500,600\n")
+        with pytest.raises(InputFormatError, match=f"signals.csv: tumor id "
+                           f"{re.escape(repr(tumor_id))} cannot name"):
+            load_signal_csv(path)
+
+    def test_load_peak_memory_per_row(self, tmp_path):
+        n_voxels, b_values = 12_500, (0.0, 250.0, 500.0, 1000.0)
+        rng = np.random.default_rng(0)
+        path = tmp_path / "signals.csv"
+        with open(path, "w") as fh:
+            fh.write("tumor_id,cohort,timepoint,voxel_id,b,signal\n")
+            for v, (k, t, d) in enumerate(zip(rng.integers(0, 20, n_voxels),
+                                              rng.integers(0, 2, n_voxels),
+                                              rng.uniform(1e-4, 3e-3, n_voxels))):
+                fh.writelines(f"t{k},{COHORTS[k % 2]},{(0, 72)[t]},v{v},{b!r},"
+                              f"{1000.0 * math.exp(-b * d)!r}\n" for b in b_values)
+        loaded, peak = traced_peak(load_signal_csv, path)
+        assert len(loaded.records) == n_voxels
+        assert peak <= 160 * n_voxels * len(b_values)

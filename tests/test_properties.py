@@ -6,7 +6,8 @@ quantity fit; these properties hold for any trainable mask, including the
 all-frozen mask of a quantity fit. Its SQUAREM cycles must land where plain
 multiplicative steps would, or higher, and respect the map cap exactly.
 Histograms expanded into voxel or signal CSV files bin back to the same
-counts, whatever the loaders' chunk size.
+counts, whatever the loaders' chunk size, and both loaders return what a
+row-by-row csv.reader reference returns, whichever way a file is split.
 """
 
 import csv
@@ -24,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpm import histograms, model
+from lpm.errors import DegenerateDesignError
 from lpm.histograms import (COHORTS, BinningConfig, Histogram2D, bin_voxels,
                             load_signal_csv, load_voxel_csv, write_voxel_csv)
 from lpm.inference import quantity_covariance
@@ -358,3 +360,165 @@ def test_malformed_rows_reported_at_their_lines(cohort, chunk, data):
         loaded = load_voxel_csv(path)
     assert [line for line, _ in loaded.errors] == expected
     _assert_same_histograms(bin_voxels(loaded.records, binning), hists)
+
+
+# ---------------------------------------------------------------------------
+# both loaders against a row-by-row csv.reader reference
+
+_TIMEPOINT_CODES = {"0": 0, "72": 1, "baseline": 0, "followup": 1}
+
+
+def _parse(text):
+    """(float(text), None), or (None, float()'s message)."""
+    try:
+        return float(text), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def _reference_records(path, columns):
+    """(line, requested fields or a missing-fields message) per non-blank record."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        index = {name: i for i, name in enumerate(next(reader))}
+        wanted = [index[c] for c in columns]
+        for row in reader:
+            if row:
+                missing = [c for c, i in zip(columns, wanted) if i >= len(row)]
+                yield reader.line_num, (f"missing fields {missing}" if missing
+                                        else [row[i] for i in wanted])
+
+
+def _reference_table(voxels, first_seen):
+    """Columns, ids and cohorts of accepted (tumor, cohort, timepoint, adc) voxels;
+    tumors keep the order in which first_seen met them."""
+    cohort_of = {tumor: cohort for tumor, cohort, _, _ in voxels}
+    ids = [tumor for tumor in first_seen if tumor in cohort_of]
+    code = {tumor: k for k, tumor in enumerate(ids)}
+    return ([np.array([code[v[0]] for v in voxels], dtype=np.int32),
+             np.array([v[2] for v in voxels], dtype=np.int8),
+             np.array([v[3] for v in voxels], dtype=np.float64)],
+            tuple(ids), tuple(cohort_of[tumor] for tumor in ids))
+
+
+def _voxel_message(timepoint, cohort, adc, parse_error):
+    if timepoint.strip() not in _TIMEPOINT_CODES:
+        return f"unknown timepoint {timepoint!r}"
+    if parse_error is not None:
+        return parse_error
+    if cohort.strip() not in COHORTS:
+        return f"unknown cohort {cohort.strip()!r}"
+    if not (math.isfinite(adc) and adc > 0):
+        return f"adc must be finite and > 0, got {adc}"
+    return None
+
+
+def reference_voxels(path):
+    errors, voxels, first_seen = [], [], {}
+    for line, fields in _reference_records(path, histograms._VOXEL_COLUMNS):
+        if isinstance(fields, str):
+            errors.append((line, fields))
+            continue
+        tumor, cohort, timepoint, text = fields
+        first_seen.setdefault(tumor.strip(), None)
+        adc, parse_error = _parse(text)
+        message = _voxel_message(timepoint, cohort, adc, parse_error)
+        if message is None:
+            voxels.append((tumor.strip(), cohort.strip(),
+                           _TIMEPOINT_CODES[timepoint.strip()], adc))
+        else:
+            errors.append((line, message))
+    return _reference_table(voxels, first_seen), errors
+
+
+def reference_signals(path):
+    errors, groups = [], {}
+    for line, fields in _reference_records(path, histograms._SIGNAL_COLUMNS):
+        if isinstance(fields, str):
+            errors.append((line, fields))
+            continue
+        *key, b_text, s_text = fields
+        (b, b_error), (s, s_error) = _parse(b_text), _parse(s_text)
+        if b_error or s_error:
+            errors.append((line, b_error or s_error))
+        else:
+            groups.setdefault(tuple(k.strip() for k in key), []).append((b, s, line))
+    voxels, first_seen = [], {}
+    for (tumor, cohort, timepoint, _), rows in groups.items():
+        first_seen.setdefault(tumor, None)
+        b, s, lines = zip(*rows)
+        try:
+            adc = histograms.fit_adc(b, s)
+        except (ValueError, DegenerateDesignError) as exc:
+            errors.append((lines[0], str(exc)))
+            continue
+        message = _voxel_message(timepoint, cohort, adc, None)
+        if message is None:
+            voxels.append((tumor, cohort, _TIMEPOINT_CODES[timepoint], adc))
+        else:
+            errors.append((lines[0], message))
+    return _reference_table(voxels, first_seen), errors
+
+
+# plain ASCII ids, a non-ASCII one and one that needs quotes for its line break
+IDS = ["t1", "t2", "ab", "t\u00fc", "t\n1"]
+ADC = ["0.001", "2.5e-3", "1_0", "inf", "nan", "-0.001", "0", "x", "", "1e-3 ", "\x0b1e-3",
+       "1e-3\x1c"]
+B = ["0", "500", "1000", "1_0", "nan", "x"]
+SIGNAL = ["1000", "606.5", "367.9", "0", "nan", "1e3", "y"]
+PAD = st.sampled_from(["", " ", "\t", "\x1c"])  # str.strip() removes each of them
+
+
+@st.composite
+def csv_files(draw, signals):
+    """(text of a voxel or signal CSV file, chunk size) mixing plain and unusual lines."""
+    header = histograms._SIGNAL_COLUMNS if signals else histograms._VOXEL_COLUMNS
+    cohort_of = {t: draw(st.sampled_from(COHORTS)) for t in IDS}
+    text = ",".join(header) + draw(st.sampled_from(["\n", "\r\n"]))
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "short", "extra"]))
+        if kind == "blank":
+            text += draw(st.sampled_from(["\n", "\r\n", "\r"]))
+            continue
+        tumor = draw(st.sampled_from(IDS if draw(st.integers(0, 4)) == 0 else IDS[:3]))
+        cohort = draw(st.sampled_from([cohort_of[tumor]] * 4 + ["placebo"]))
+        fields = [tumor, cohort, draw(st.sampled_from(["0", "72", "baseline", "48"]))]
+        if signals:
+            fields += [draw(st.sampled_from(["v1", "v2"])), draw(st.sampled_from(B)),
+                       draw(st.sampled_from(SIGNAL))]
+        else:
+            fields.append(draw(st.sampled_from(ADC)))
+        fields = [draw(PAD) + f + draw(PAD) if draw(st.booleans()) else f for f in fields]
+        if kind == "short":
+            fields = fields[:draw(st.integers(1, len(fields) - 1))]
+        elif kind == "extra":
+            fields.append("extra")
+        text += _csv_text(fields).rstrip("\r\n") + draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return text, draw(st.integers(1, 3))
+
+
+def _assert_loader_matches_reference(load, reference, text, chunk):
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(histograms, "_CHUNK_ROWS", chunk):
+        path = Path(tmp) / "input.csv"
+        path.write_bytes(text.encode())
+        loaded = load(path)
+        (columns, ids, cohorts_), errors = reference(path)
+    table = loaded.records
+    for got, want in zip((table.tumor, table.timepoint, table.adc), columns):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert (table.tumor_ids, table.cohorts) == (ids, cohorts_)
+    assert loaded.errors == errors
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_files(signals=False))
+def test_voxel_loader_matches_csv_reader_reference(case):
+    _assert_loader_matches_reference(load_voxel_csv, reference_voxels, *case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_files(signals=True))
+def test_signal_loader_matches_csv_reader_reference(case):
+    _assert_loader_matches_reference(load_signal_csv, reference_signals, *case)
