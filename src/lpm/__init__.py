@@ -20,8 +20,8 @@ _EXPORTS = {
     "selection": ("GoodnessOfFit", "SelectionCurve", "chi2_per_dof",
                   "chi2_statistic", "select_components"),
     "inference": ("CohortSummary", "QuantityCovariance", "ResponseResult",
-                  "combine_cohort", "control_consistency", "fit_and_score",
-                  "quantity_covariance", "response_result"),
+                  "combine_cohort", "fit_and_score", "quantity_covariance",
+                  "response_result"),
     "synth": ("GroundTruth", "SynthSpec", "default_scenarios", "generate"),
     "validation": ("LooReport", "leave_one_out"),
 }

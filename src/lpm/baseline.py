@@ -111,12 +111,10 @@ def t_test_p_and_z(stat, dof):
     return p, z
 
 
-def combine_tests(results) -> float:
+def combine_tests(zs) -> float:
     """Root-sum-square combination of independent evidences of change."""
-    if not results:
+    if not zs:
         raise EmptyInputError("no test results to combine")
-    zs = [r.z_equivalent if isinstance(r, TTestResult) else float(r)
-          for r in results]
     return float(math.sqrt(sum(z * z for z in zs)))
 
 
@@ -136,7 +134,7 @@ def cohort_baseline(histograms):
                           ("iqr_change", "d_iqr_adc")]:
         tests[measure] = welch_t_test([getattr(c, attr) for c in control],
                                       [getattr(c, attr) for c in treated])
-    combined = combine_tests(list(tests.values()))
+    combined = combine_tests([r.z_equivalent for r in tests.values()])
     return tests, combined
 
 

@@ -171,7 +171,7 @@ def cmd_train(args, out: Path, meta: dict) -> int:
     opts = _train_options(args)
     result = train_control(cohorts["control"], args.n_control, opts)
     model = result.model
-    if args.n_treatment > 0:
+    if args.n_treatment != 0:  # a negative count is a ParameterError
         result = train_treatment(model, cohorts["treated"], args.n_treatment, opts)
         model = result.model
     model.training_meta["run"] = meta
@@ -238,7 +238,7 @@ def cmd_fit(args, out: Path, meta: dict) -> int:
         results.append(r)
         table.append([r.tumor_id] + [repr(getattr(r, c)) for c in RESPONSE_COLUMNS[1:]])
     if results:
-        combined = combine_cohort(results)
+        combined = combine_cohort([r.z for r in results])
         cells = [repr(combined.combined_z), repr(combined.combined_p)]
         print(f"scored {len(results)} {args.cohort} tumors, "
               f"combined z = {combined.combined_z:.2f}")

@@ -18,9 +18,8 @@ import csv
 import io
 import json
 import math
-import re
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 
 import numpy as np
@@ -42,7 +41,7 @@ _COHORT_CODES = {name: k for k, name in enumerate(COHORTS)}
 
 _CHUNK_ROWS = 2048  # CSV records (physical lines while they are plain) per chunk
 _FIELD_MAX = 1024  # widest requested field, in bytes, that a plain chunk holds
-_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+_BLOCK_BYTES = 1 << 16  # bytes of a CSV decoded at a time once it is not plain
 
 
 @dataclass(frozen=True)
@@ -425,18 +424,47 @@ def _fixed_width(data, lo, hi):
     return fields.view(f"S{width}").ravel()
 
 
+def _text_blocks(path, fh, base):
+    """Lists of the lines of fh, whose next line is physical line base + 1, as
+    open(path, encoding="utf-8", newline="") reads them; an undecodable byte
+    is an InputFormatError naming its line. Blocks are cut after a line
+    break, so no character or CRLF is split."""
+    rest = b""
+    while True:
+        block = fh.read(max(_BLOCK_BYTES, len(rest)))  # doubles through a long line
+        data = rest + block
+        # a CR that ends the block may be the first half of a CRLF
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1 if block else len(data)
+        data, rest = data[:cut], data[cut:]
+        try:
+            lines = io.StringIO(data.decode("utf-8"), newline="").readlines()
+        except UnicodeDecodeError as exc:
+            head = data[:exc.start]
+            line = base + 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+            raise InputFormatError(f"{path}: line {line}: cannot decode byte 0x"
+                                   f"{data[exc.start]:02x} as UTF-8: {exc.reason}") from None
+        yield lines
+        base += len(lines)
+        if not block:
+            return
+
+
 def _reader_chunks(path, fh, base, columns, wanted):
     """Chunks that csv.reader reads from fh, whose next line is physical
     line base + 1; the header is read first when wanted is None."""
-    reader = csv.reader(io.TextIOWrapper(fh, newline=""))
+    reader = csv.reader(chain.from_iterable(_text_blocks(path, fh, base)))
     try:
         if wanted is None:
             wanted = _wanted(path, columns, next(reader, None))
         width = max(wanted) + 1
-        start = reader.line_num
-        while rows := list(islice(reader, _CHUNK_ROWS)):
-            lines = base + _record_lines(rows, start, reader.line_num)
-            start = reader.line_num
+        while True:
+            rows, lines = [], []
+            for row in islice(reader, _CHUNK_ROWS):
+                rows.append(row)
+                lines.append(reader.line_num)  # the line the record ends on
+            if not rows:
+                return
+            lines = base + np.array(lines)
             short = []
             if min(map(len, rows)) < width:
                 short = [(int(line), _missing(columns, wanted, len(row)))
@@ -446,17 +474,8 @@ def _reader_chunks(path, fh, base, columns, wanted):
                 lines = lines[keep]
             yield lines, [np.fromiter(map(itemgetter(i), rows), object, len(rows))
                           for i in wanted], short
-    except (csv.Error, UnicodeDecodeError) as exc:
+    except csv.Error as exc:
         raise InputFormatError(f"{path}: line {base + reader.line_num}: {exc}") from None
-
-
-def _record_lines(rows, start, end):
-    """Line number of each record read from lines start+1 .. end."""
-    if end - start == len(rows):
-        return np.arange(start + 1, end + 1)
-    # some records span lines through quoted line breaks
-    spans = [1 + sum(len(_LINE_BREAK.findall(f)) for f in row) for row in rows]
-    return start + np.cumsum(spans)
 
 
 def _floats(fields):

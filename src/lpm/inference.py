@@ -33,8 +33,6 @@ _ACTIVE_FRACTION = 1e-8  # of total quantity; below this q_k counts as zero
 @dataclass
 class QuantityCovariance:
     matrix: np.ndarray  # (K, K) symmetric PSD
-    scaled_by_chi2: bool
-    chi2_used: float
     constrained: np.ndarray = None  # bool per component, True = pinned at 0
     pseudo_inverse_used: bool = False
 
@@ -52,7 +50,6 @@ class ResponseResult:
 
 @dataclass
 class CohortSummary:
-    per_tumor: list
     combined_z: float
     combined_p: float
 
@@ -156,9 +153,9 @@ def two_tailed_p(z: float) -> float:
     return min(1.0, 2.0 * ndtr(-abs(float(z))))
 
 
-def quantity_covariance(model: LpmModel, h, q, chi2: GoodnessOfFit,
-                        scale_by_chi2: bool = True) -> QuantityCovariance:
-    """Propagate per-cell Poisson errors into the quantity covariance."""
+def quantity_covariance(model: LpmModel, h, q, chi2: GoodnessOfFit) -> QuantityCovariance:
+    """Per-cell Poisson errors propagated into the quantity covariance, scaled
+    by chi2.chi2_per_dof (a unit chi2/dof leaves A^-1 unscaled)."""
     q = np.asarray(q, dtype=float)
     K = model.n_components
     P = model.P
@@ -183,14 +180,11 @@ def quantity_covariance(model: LpmModel, h, q, chi2: GoodnessOfFit,
         except np.linalg.LinAlgError:  # A singular to working precision
             Ca = np.linalg.pinv(A, hermitian=True)
             pinv_used = True
-        if scale_by_chi2:
-            Ca = chi2.chi2_per_dof * Ca
+        Ca = chi2.chi2_per_dof * Ca
         Ca = 0.5 * (Ca + Ca.T)
         idx = np.flatnonzero(active)
         C[np.ix_(idx, idx)] = Ca
-    return QuantityCovariance(matrix=C, scaled_by_chi2=scale_by_chi2,
-                              chi2_used=chi2.chi2_per_dof if scale_by_chi2 else 1.0,
-                              constrained=constrained,
+    return QuantityCovariance(matrix=C, constrained=constrained,
                               pseudo_inverse_used=pinv_used)
 
 
@@ -230,15 +224,12 @@ def response_result(model: LpmModel, h, q, cov: QuantityCovariance) -> ResponseR
                           p_two_tailed=two_tailed_p(z))
 
 
-def combine_cohort(results) -> CohortSummary:
+def combine_cohort(zs) -> CohortSummary:
     """Stouffer combination of per-tumor Z-scores."""
-    if not results:
+    if not zs:
         raise EmptyInputError("no results to combine")
-    zs = [r.z if isinstance(r, ResponseResult) else float(r) for r in results]
     combined = float(np.sum(zs) / np.sqrt(len(zs)))
-    per_tumor = [r for r in results if isinstance(r, ResponseResult)]
-    return CohortSummary(per_tumor=per_tumor, combined_z=combined,
-                         combined_p=two_tailed_p(combined))
+    return CohortSummary(combined_z=combined, combined_p=two_tailed_p(combined))
 
 
 def fit_and_score(model: LpmModel, h) -> ResponseResult:
@@ -253,9 +244,3 @@ def fit_and_score(model: LpmModel, h) -> ResponseResult:
     chi2 = chi2_statistic(h.counts, M, n_free_params=model.n_components)
     cov = quantity_covariance(model, h, q, chi2)
     return response_result(model, h, q, cov)
-
-
-def control_consistency(model: LpmModel, control_histograms):
-    """Score control tumors with the full model; inliers should sit at |z| < 2."""
-    _require_treatment(model)
-    return [fit_and_score(model, h) for h in control_histograms]

@@ -90,6 +90,7 @@ class FitDiagnostics:
     log_likelihood: float
     n_iterations: int
     converged: bool
+    degenerate: bool  # a trainable component collapsed (never, in a quantity fit)
 
 
 @dataclass
@@ -198,7 +199,7 @@ def _em(H, P, Q, trainable, max_iter, tol, rng=None):
     once. The objective is the extended likelihood sum H*ln(M) - sum Q,
     taken from the expectation M = Q @ P.T that the next Q-step reuses.
     max_iter caps the number of multiplicative maps. Returns (P, Q,
-    diagnostics, degenerate_flag).
+    diagnostics).
     """
     H = np.asarray(H, dtype=float)
     populated = np.flatnonzero(H)  # flat indices, in the order H[H > 0] reads
@@ -330,8 +331,8 @@ def _em(H, P, Q, trainable, max_iter, tol, rng=None):
             break
         prev = cur
     diag = FitDiagnostics(log_likelihood=prev, n_iterations=it,
-                          converged=converged)
-    return P, Q, diag, degenerate
+                          converged=converged, degenerate=degenerate)
+    return P, Q, diag
 
 
 def _stack(cohort, binning):
@@ -351,9 +352,9 @@ def _best_restart(H, k_total, init_P, opts):
         P, trainable = init_P(rng)
         Q = np.full((H.shape[0], k_total), 1.0, dtype=float)
         Q *= (H.sum(axis=1) / k_total)[:, None]
-        P, Q, diag, degenerate = _em(H, P, Q, trainable, opts.max_iter, opts.tol, rng)
+        P, Q, diag = _em(H, P, Q, trainable, opts.max_iter, opts.tol, rng)
         if best is None or diag.log_likelihood > best[2].log_likelihood:
-            best = (P, Q, diag, degenerate)
+            best = (P, Q, diag)
     return best
 
 
@@ -372,10 +373,10 @@ def train_control(cohort, n_control: int, opts: TrainOptions = TrainOptions()) -
                              for _ in range(n_control)])
         return P, np.ones(n_control, dtype=bool)
 
-    P, Q, diag, degenerate = _best_restart(H, n_control, init_P, opts)
+    P, Q, diag = _best_restart(H, n_control, init_P, opts)
     meta = {"seed": opts.seed, "restarts": opts.restarts,
             "iterations": diag.n_iterations, "final_loglik": diag.log_likelihood,
-            "converged": diag.converged, "degenerate": degenerate,
+            "converged": diag.converged, "degenerate": diag.degenerate,
             "phase": "control"}
     model = LpmModel(P=P, n_control=n_control, binning=binning,
                      training_meta=meta)
@@ -463,9 +464,9 @@ def train_treatment(control_model: LpmModel, cohort, n_treatment: int,
     quantities (control and treatment alike) are optimised.
     """
     if control_model.n_treatment != 0:
-        raise ValueError("base model already has treatment components")
+        raise ParameterError("base model already has treatment components")
     if n_treatment < 1:
-        raise ValueError("n_treatment must be >= 1")
+        raise ParameterError(f"n_treatment must be >= 1, got {n_treatment}")
     if not cohort:
         raise EmptyInputError("treated cohort is empty")
     binning = control_model.binning
@@ -498,7 +499,7 @@ def train_treatment(control_model: LpmModel, cohort, n_treatment: int,
         trainable[n_control:] = True
         return P, trainable
 
-    P, Q, diag, degenerate = _best_restart(H, k_total, init_P, opts)
+    P, Q, diag = _best_restart(H, k_total, init_P, opts)
     if not np.array_equal(P[:, :n_control], P_control):
         raise AnalysisError("control components changed during treatment training")
     meta = dict(control_model.training_meta)
@@ -506,7 +507,7 @@ def train_treatment(control_model: LpmModel, cohort, n_treatment: int,
                  "treatment_iterations": diag.n_iterations,
                  "treatment_final_loglik": diag.log_likelihood,
                  "treatment_converged": diag.converged,
-                 "treatment_degenerate": degenerate, "phase": "full"})
+                 "treatment_degenerate": diag.degenerate, "phase": "full"})
     model = LpmModel(P=_purify_treatment(P, n_control), n_control=n_control,
                      binning=binning, training_meta=meta)
     # purification moved quantities between components; refit them so the
@@ -536,8 +537,8 @@ def fit_quantities(model: LpmModel, h: Histogram2D, max_iter: int = 200000,
         q = np.full(K, hv.sum() / K)
     else:
         q = np.asarray(q_init, dtype=float)
-    _, Q, diag, _ = _em(hv[None, :], model.P, q[None, :],
-                        np.zeros(K, dtype=bool), max_iter, tol)
+    _, Q, diag = _em(hv[None, :], model.P, q[None, :],
+                     np.zeros(K, dtype=bool), max_iter, tol)
     return Q[0], diag
 
 

@@ -109,24 +109,23 @@ def choose_component_count(points) -> int:
 
 
 def _train_candidate(args):
+    """(SelectionPoint, TrainResult) of one candidate component count."""
     phase, cohort, base_model, k, opts = args
     if phase == "control":
-        result = train_control(cohort, k, opts)
-        n_trainable, key = k, ""
+        n_trainable, result = k, train_control(cohort, k, opts)
     else:
-        result = train_treatment(base_model, cohort, k - base_model.n_control, opts)
-        n_trainable, key = k - base_model.n_control, "treatment_"
-    meta = result.model.training_meta
-    degenerate = bool(meta[key + "degenerate"])
-    converged = bool(meta[key + "converged"])
+        n_trainable = k - base_model.n_control
+        result = train_treatment(base_model, cohort, n_trainable, opts)
+    diag = result.diagnostics
     try:
-        gof = chi2_per_dof(cohort, result.model, result.quantities,
-                           n_trainable_components=n_trainable)
+        chi2 = chi2_per_dof(cohort, result.model, result.quantities,
+                            n_trainable_components=n_trainable).chi2_per_dof
+        degenerate = diag.degenerate
     except OverParameterisedError:
         # too many parameters for the data; exclude from the argmin
-        gof = GoodnessOfFit(raw_chi2=float("nan"), dof=0, chi2_per_dof=float("nan"))
-        degenerate = True
-    return k, result, gof, degenerate, converged
+        chi2, degenerate = float("nan"), True
+    return SelectionPoint(n_components=k, chi2_per_dof=chi2, degenerate=degenerate,
+                          converged=diag.converged), result
 
 
 def select_components(cohort, phase: str, base_model, k_min: int, k_max: int,
@@ -153,15 +152,11 @@ def select_components(cohort, phase: str, base_model, k_min: int, k_max: int,
             outcomes = list(pool.map(_train_candidate, tasks))
     else:
         outcomes = [_train_candidate(t) for t in tasks]
-    outcomes.sort(key=lambda o: o[0])
-
-    points = [SelectionPoint(n_components=k, chi2_per_dof=gof.chi2_per_dof,
-                             degenerate=deg, converged=conv)
-              for k, _, gof, deg, conv in outcomes]
+    # both keep task order, so outcomes ascend in k from k_min
+    points = [point for point, _ in outcomes]
     chosen = choose_component_count(points)
-    curve = SelectionCurve(points=points, phase=phase, chosen=chosen)
-    best_result = next(res for k, res, *_ in outcomes if k == chosen)
-    return curve, best_result
+    return (SelectionCurve(points=points, phase=phase, chosen=chosen),
+            outcomes[chosen - k_min][1])
 
 
 def selection_table(curve: SelectionCurve) -> list:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptyInputError, LpmError
-from .inference import ResponseResult, control_consistency, fit_and_score
+from .inference import ResponseResult, fit_and_score
 from .model import TrainOptions, train_control, train_treatment
 
 OUTLIER_Z = 2.0
@@ -66,7 +66,7 @@ def leave_one_out(control_cohort, treated_cohort, n_control: int,
 
     full_model = _train_full(control_cohort, treated_cohort,
                              n_control, n_treatment, opts)
-    lai = control_consistency(full_model, control_cohort)
+    lai = [fit_and_score(full_model, h) for h in control_cohort]
 
     tasks = [(control_cohort, treated_cohort, n_control, n_treatment, opts, k)
              for k in range(len(control_cohort))]

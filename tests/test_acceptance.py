@@ -129,7 +129,7 @@ def paper_scale_runs():
                                len(spec.treatment_pmfs), opts)
         treated_results = [fit_and_score(full.model, h) for h in treated]
         control_results = [fit_and_score(full.model, h) for h in control]
-        lpm_combined = combine_cohort(treated_results).combined_z
+        lpm_combined = combine_cohort([r.z for r in treated_results]).combined_z
         _, baseline_combined = cohort_baseline(control + treated)
         runs.append({
             "truth": truth,
@@ -257,8 +257,7 @@ def test_criterion_07_monte_carlo_covariance():
         h0 = Histogram2D(tumor_id="t", cohort="control",
                          counts=np.round(expected).astype(np.int64),
                          binning=binning)
-        analytic = quantity_covariance(model, h0, q_true, unit_chi2,
-                                       scale_by_chi2=False).matrix
+        analytic = quantity_covariance(model, h0, q_true, unit_chi2).matrix
         rel = np.abs(np.diag(analytic) - np.diag(empirical)) / np.diag(empirical)
         assert rel.max() < 0.30, f"K={n_components}: diag rel err {rel}"
 

@@ -373,6 +373,9 @@ class TestExitCodes:
                       "--restarts", "0"], "restarts must be >= 1", id="restarts-0"),
         pytest.param(["train", "--histograms", "{hists}", "--n-control", "1",
                       "--max-iter", "0"], "max_iter must be >= 1", id="max-iter-0"),
+        pytest.param(["train", "--histograms", "{hists}", "--n-control", "1",
+                      "--n-treatment", "-1"], "n_treatment must be >= 1",
+                     id="n-treatment-negative"),
         pytest.param(["validate", "--histograms", "{hists}", "--n-control", "1",
                       "--n-treatment", "1", "--tol=-1e-9"], "tol must be >= 0",
                      id="tol-negative"),

@@ -326,6 +326,29 @@ class TestVoxelCsv:
         assert loaded.records.adc.tolist() == [0.001, 0.002, 0.003]
         assert loaded.errors == [(3, "could not convert string to float: 'x'")]
 
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+    def test_undecodable_byte_names_its_line(self, tmp_path, end):
+        lines = [b"tumor_id,cohort,timepoint,adc"] + [b"t1,control,0,0.001"] * 1000
+        lines[900] = b"t\xff,control,0,0.001"  # physical line 901
+        path = tmp_path / "voxels.csv"
+        path.write_bytes(end.join(lines) + end)
+        with pytest.raises(InputFormatError, match="voxels.csv: line 901: "
+                           "cannot decode byte 0xff as UTF-8"):
+            load_voxel_csv(path)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 1 << 16])
+    def test_decode_blocks_split_no_character_or_crlf(self, tmp_path, monkeypatch,
+                                                      block):
+        monkeypatch.setattr(histograms, "_BLOCK_BYTES", block)
+        path = tmp_path / "voxels.csv"
+        path.write_bytes('tumor_id,cohort,timepoint,adc\r\n"t\r\n1",control,0,0.001\r'
+                         "t\u00fc\u20ac,control,0,0.002\n\r\nt2,control,72,x\r\n"
+                         "t3,treated,0,0.003".encode())
+        loaded = load_voxel_csv(path)
+        assert loaded.records.tumor_ids == ("t\r\n1", "t\u00fc\u20ac", "t3")
+        assert loaded.records.adc.tolist() == [0.001, 0.002, 0.003]
+        assert loaded.errors == [(6, "could not convert string to float: 'x'")]
+
     def test_load_peak_memory_per_voxel(self, tmp_path):
         n = 100_000
         rng = np.random.default_rng(0)

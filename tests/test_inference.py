@@ -6,9 +6,8 @@ import scipy.special
 
 from conftest import make_model, poisson_histogram
 from lpm.errors import EmptyInputError, ParameterError
-from lpm.inference import (combine_cohort, control_consistency, erf, erfc,
-                           fit_and_score, ndtr, quantity_covariance,
-                           response_result, two_tailed_p)
+from lpm.inference import (combine_cohort, erf, erfc, fit_and_score, ndtr,
+                           quantity_covariance, response_result, two_tailed_p)
 from lpm.histograms import BinningConfig, Histogram2D
 from lpm.model import LpmModel, fit_quantities, model_expectation
 from lpm.selection import GoodnessOfFit, chi2_statistic
@@ -76,10 +75,9 @@ class TestQuantityCovariance:
     def test_chi2_scaling_is_linear(self, fitted):
         model, h, q = fitted
         chi2 = GoodnessOfFit(raw_chi2=6.0, dof=3, chi2_per_dof=2.0)
-        unscaled = quantity_covariance(model, h, q, chi2, scale_by_chi2=False)
+        unscaled = quantity_covariance(model, h, q, UNIT_CHI2)
         scaled = quantity_covariance(model, h, q, chi2)
         assert np.allclose(scaled.matrix, 2.0 * unscaled.matrix)
-        assert scaled.scaled_by_chi2 and not unscaled.scaled_by_chi2
 
     def test_constrained_component_zeroed(self, small_binning):
         model = make_model(small_binning, n_control=2, seed=8)
@@ -109,7 +107,7 @@ class TestQuantityCovariance:
         model = make_model(small_binning, n_control=1, seed=2)
         h = poisson_histogram(model, np.array([9000.0]), seed=5)
         q, _ = fit_quantities(model, h)
-        cov = quantity_covariance(model, h, q, UNIT_CHI2, scale_by_chi2=False)
+        cov = quantity_covariance(model, h, q, UNIT_CHI2)
         assert cov.matrix[0, 0] == pytest.approx(q[0], rel=0.05)
 
 
@@ -151,8 +149,6 @@ class TestResponseResult:
         h = poisson_histogram(model, np.array([5000.0, 5000.0]), seed=8)
         with pytest.raises(ParameterError):
             fit_and_score(model, h)
-        with pytest.raises(ParameterError):
-            control_consistency(model, [h])
 
     def test_treatment_pinned_in_sum_but_not_per_component_scores_zero(self, small_binning):
         # each treatment quantity is below _ACTIVE_FRACTION of the total,

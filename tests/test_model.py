@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import nnls as scipy_nnls
 
 from conftest import em_from_outside_the_cone, make_model, make_pmf, poisson_histogram
+from lpm import model as model_module
 from lpm.errors import (AnalysisError, BinningMismatchError, EmptyInputError,
                         ParameterError)
 from lpm.histograms import Histogram2D
@@ -297,6 +298,34 @@ class TestTrainTreatment:
         _, full, treated = trained
         with pytest.raises(ValueError):
             train_treatment(full.model, treated, 1)
+
+    @pytest.mark.parametrize("forced", [None, True])
+    def test_degenerate_meta_is_the_diagnostics_flag(self, small_binning,
+                                                     monkeypatch, forced):
+        # forced sets the flag of every training fit; quantity fits keep theirs
+        real = model_module._em
+
+        def em(H, P, Q, trainable, *args):
+            P, Q, diag = real(H, P, Q, trainable, *args)
+            if forced is not None and trainable.any():
+                diag.degenerate = forced
+            return P, Q, diag
+
+        monkeypatch.setattr(model_module, "_em", em)
+        truth = make_model(small_binning, n_control=2, n_treatment=1, seed=3)
+        control = [poisson_histogram(truth, np.array([4000.0, 2000.0, 0.0]),
+                                     seed=i, tumor_id=f"c{i}") for i in range(3)]
+        treated = [poisson_histogram(truth, np.array([2500.0, 1500.0, 2000.0]),
+                                     seed=10 + i, tumor_id=f"t{i}", cohort="treated")
+                   for i in range(3)]
+        opts = TrainOptions(seed=0, restarts=2, max_iter=2000)
+        base = train_control(control, 2, opts)
+        full = train_treatment(base.model, treated, 1, opts)
+        assert base.diagnostics.degenerate is base.model.training_meta["degenerate"]
+        assert (full.diagnostics.degenerate
+                is full.model.training_meta["treatment_degenerate"])
+        assert base.diagnostics.degenerate is bool(forced)
+        assert full.diagnostics.degenerate is bool(forced)
 
 
 class TestModelExpectation:

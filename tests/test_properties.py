@@ -76,7 +76,7 @@ def _slack(value):
 def test_em_invariants(problem, reseed):
     H, P0, Q0, trainable, seed = problem
     rng = np.random.default_rng(seed + 1) if reseed else None
-    P, Q, diag, _ = _em(H, P0.copy(), Q0, trainable, MAX_ITER, TOL, rng)
+    P, Q, diag = _em(H, P0.copy(), Q0, trainable, MAX_ITER, TOL, rng)
     assert 1 <= diag.n_iterations <= MAX_ITER
     assert np.isfinite(diag.log_likelihood)
     assert np.all(Q >= 0)
@@ -90,7 +90,7 @@ def test_em_invariants(problem, reseed):
 def test_em_objective_never_decreases(problem):
     H, P0, Q0, trainable, _ = problem
     start = _objective(H, P0, Q0, trainable)
-    P, Q, diag, _ = _em(H, P0.copy(), Q0, trainable, MAX_ITER, TOL)
+    P, Q, diag = _em(H, P0.copy(), Q0, trainable, MAX_ITER, TOL)
     assert diag.log_likelihood >= start
     assert diag.log_likelihood == _objective(H, P, Q, trainable)
     further = _em(H, P.copy(), Q, trainable, 1, TOL)[2].log_likelihood
@@ -123,7 +123,7 @@ def test_one_squarem_cycle_reaches_two_plain_steps(problem, warm, step_max0):
     two_steps = _objective(H, *_plain_map(H, *_plain_map(H, P0, Q0, trainable),
                                           trainable), trainable)
     with mock.patch.object(model, "_STEP_MAX0", step_max0):
-        P, Q, diag, _ = _em(H, P0.copy(), Q0, trainable, 3, TOL)
+        P, Q, diag = _em(H, P0.copy(), Q0, trainable, 3, TOL)
     assert diag.log_likelihood >= two_steps - _slack(two_steps)
     assert np.all(Q >= 0) and np.all(P >= 0)
     assert np.all(np.abs(P[:, trainable].sum(axis=0) - 1.0) <= 1e-12)
@@ -146,7 +146,7 @@ def test_shortened_jump_beats_dropping_it():
         with mock.patch.object(model, "_BACKTRACKS", 0):
             dropped = _em(H, P.copy(), Q, trainable, 3, TOL)
     assert shortened[2].log_likelihood > dropped[2].log_likelihood
-    for P_end, _, _, _ in (shortened, dropped):
+    for P_end, _, _ in (shortened, dropped):
         assert np.array_equal(P_end[:, 0], P[:, 0])
 
 
@@ -159,7 +159,7 @@ def _quantity_fit(problem):
 @given(problems(), st.integers(0, 3))
 def test_em_map_cap_is_exact(problem, cap):
     H, P0, Q0, trainable, _ = problem
-    P, Q, diag, _ = _em(H, P0.copy(), Q0, trainable, cap, TOL)
+    P, Q, diag = _em(H, P0.copy(), Q0, trainable, cap, TOL)
     assert diag.n_iterations <= cap
     assert np.array_equal(P[:, ~trainable], P0[:, ~trainable])
     if cap == 0:
@@ -176,7 +176,7 @@ def test_converged_quantity_fit_meets_kkt(problem):
     """At the MLE, d(objective)/dq_k = (P.T @ (H/M))_k - 1 is 0 where q_k > 0
     and <= 0 where q_k is pinned at zero; the fit uses fit_quantities' tol."""
     H, P, Q0, trainable = _quantity_fit(problem)
-    _, Q, diag, _ = _em(H, P, Q0, trainable, 200000, 1e-12)
+    _, Q, diag = _em(H, P, Q0, trainable, 200000, 1e-12)
     assert diag.converged
     g = (H / np.maximum(Q @ P.T, 1e-300)) @ P
     active = Q > 1e-4 * np.maximum(Q.sum(axis=1, keepdims=True), 1.0)

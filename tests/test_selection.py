@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_model, poisson_histogram
+from lpm import selection
 from lpm.cli import write_csv
 from lpm.errors import OverParameterisedError, SelectionFailedError
 from lpm.model import TrainOptions, fit_quantities
@@ -171,6 +172,24 @@ class TestSelectComponents:
         rows = selection_table(curve)
         assert rows[0][-1] == "converged"
         assert [r[-1] for r in rows[1:]] == [1, 0, 0]
+
+    def test_degenerate_fit_flagged_and_not_chosen(self, monkeypatch):
+        # K = 2 wins in easy_sweep; its fit's degenerate flag alone must
+        # mark it in the table and keep it from being chosen
+        real = selection.train_control
+
+        def train_control(cohort, k, opts):
+            result = real(cohort, k, opts)
+            result.diagnostics.degenerate = k == 2
+            return result
+
+        monkeypatch.setattr(selection, "train_control", train_control)
+        opts = TrainOptions(seed=11, restarts=2, max_iter=5000)
+        curve, best = select_components(_easy_cohort(), "control", None, 1, 3, opts)
+        rows = selection_table(curve)
+        assert rows[0][3] == "degenerate"
+        assert [r[3] for r in rows[1:]] == [0, 1, 0]
+        assert curve.chosen != 2 and best.model.n_control == curve.chosen
 
     def test_bad_sweep_bounds(self):
         with pytest.raises(ValueError):
