@@ -16,7 +16,7 @@ _EXPORTS = {
                    "fit_adc", "load_signal_csv", "load_voxel_csv"),
     "model": ("ComponentPmf", "FitDiagnostics", "LpmModel", "TrainOptions",
               "TrainResult", "fit_quantities", "model_expectation", "train_control",
-              "train_treatment"),
+              "train_model", "train_treatment"),
     "selection": ("GoodnessOfFit", "SelectionCurve", "chi2_per_dof",
                   "chi2_statistic", "select_components"),
     "inference": ("CohortSummary", "QuantityCovariance", "ResponseResult",

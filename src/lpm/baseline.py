@@ -15,21 +15,15 @@ import numpy as np
 from .errors import DegenerateVarianceError, EmptyInputError, UndefinedSummaryError
 from .histograms import Histogram2D
 
+# the per-tumor changes, in the order summary_change returns them
+MEASURES = ("volume_change", "mean_adc_change", "iqr_change")
+
 
 @dataclass
 class TimepointSummary:
     volume: tuple  # voxel counts, (baseline, followup)
     mean_adc: tuple
     iqr_adc: tuple
-
-
-@dataclass
-class SummaryChange:
-    tumor_id: str
-    cohort: str
-    d_volume: float
-    d_mean_adc: float
-    d_iqr_adc: float
 
 
 @dataclass
@@ -71,12 +65,11 @@ def summarise(h: Histogram2D) -> TimepointSummary:
                             iqr_adc=tuple(iqrs))
 
 
-def summary_change(h: Histogram2D) -> SummaryChange:
+def summary_change(h: Histogram2D) -> np.ndarray:
+    """Follow-up minus baseline of each summary, in MEASURES order."""
     s = summarise(h)
-    return SummaryChange(tumor_id=h.tumor_id, cohort=h.cohort,
-                         d_volume=s.volume[1] - s.volume[0],
-                         d_mean_adc=s.mean_adc[1] - s.mean_adc[0],
-                         d_iqr_adc=s.iqr_adc[1] - s.iqr_adc[0])
+    return np.array([s.volume[1] - s.volume[0], s.mean_adc[1] - s.mean_adc[0],
+                     s.iqr_adc[1] - s.iqr_adc[0]])
 
 
 def welch_t_test(control_changes, treated_changes) -> TTestResult:
@@ -118,22 +111,17 @@ def combine_tests(zs) -> float:
     return float(math.sqrt(sum(z * z for z in zs)))
 
 
-def cohort_baseline(histograms):
-    """Full conventional analysis over one mixed cohort of histograms.
+def cohort_baseline(control, treated):
+    """Full conventional analysis of a control and a treated cohort of histograms.
 
     Returns ({measure: TTestResult}, combined_z).
     """
-    changes = [summary_change(h) for h in histograms]
-    control = [c for c in changes if c.cohort == "control"]
-    treated = [c for c in changes if c.cohort == "treated"]
     if not control or not treated:
         raise EmptyInputError("need both control and treated histograms")
-    tests = {}
-    for measure, attr in [("volume_change", "d_volume"),
-                          ("mean_adc_change", "d_mean_adc"),
-                          ("iqr_change", "d_iqr_adc")]:
-        tests[measure] = welch_t_test([getattr(c, attr) for c in control],
-                                      [getattr(c, attr) for c in treated])
+    control = np.array([summary_change(h) for h in control])
+    treated = np.array([summary_change(h) for h in treated])
+    tests = {measure: welch_t_test(control[:, j], treated[:, j])
+             for j, measure in enumerate(MEASURES)}
     combined = combine_tests([r.z_equivalent for r in tests.values()])
     return tests, combined
 

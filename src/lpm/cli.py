@@ -115,6 +115,8 @@ def _train_options(args):
 
 
 def cmd_ingest(args, out: Path, meta: dict) -> int:
+    if bool(args.voxels) == bool(args.signals):
+        raise InputFormatError("ingest needs exactly one of --voxels and --signals")
     config = _binning_from_args(args)
     if args.signals:
         loaded = load_signal_csv(args.signals)
@@ -166,14 +168,10 @@ def cmd_synth(args, out: Path, meta: dict) -> int:
 
 
 def cmd_train(args, out: Path, meta: dict) -> int:
-    from .model import train_control, train_treatment, write_model_json
+    from .model import train_model, write_model_json
     cohorts = _load_cohorts(args.histograms)
-    opts = _train_options(args)
-    result = train_control(cohorts["control"], args.n_control, opts)
-    model = result.model
-    if args.n_treatment != 0:  # a negative count is a ParameterError
-        result = train_treatment(model, cohorts["treated"], args.n_treatment, opts)
-        model = result.model
+    model = train_model(cohorts["control"], cohorts["treated"], args.n_control,
+                        args.n_treatment, _train_options(args))
     model.training_meta["run"] = meta
     write_model_json(out / "model.json", model)
     print(f"trained model: {model.n_control} control + "
@@ -272,8 +270,8 @@ def cmd_validate(args, out: Path, meta: dict) -> int:
 
 def cmd_baseline(args, out: Path, meta: dict) -> int:
     from .baseline import baseline_table, cohort_baseline
-    tests, combined = cohort_baseline(
-        chain.from_iterable(_load_cohorts(args.histograms).values()))
+    cohorts = _load_cohorts(args.histograms)
+    tests, combined = cohort_baseline(cohorts["control"], cohorts["treated"])
     write_csv(out / "baseline.csv", meta, baseline_table(tests, combined))
     print(f"baseline combined z = {combined:.2f}")
     return EXIT_OK

@@ -51,7 +51,6 @@ class BinningConfig:
     adc_min: float = 0.0
     adc_max: float = 3.0e-3
     n_adc_bins: int = 32
-    n_timepoints: int = 2
 
     def __post_init__(self):
         if not (self.adc_min < self.adc_max):
@@ -59,8 +58,6 @@ class BinningConfig:
                                  f"got [{self.adc_min}, {self.adc_max}]")
         if self.n_adc_bins < 2:
             raise ParameterError(f"n_adc_bins must be >= 2, got {self.n_adc_bins}")
-        if self.n_timepoints != 2:
-            raise ValueError("exactly two timepoints are supported")
 
     @property
     def width(self) -> float:
@@ -76,7 +73,7 @@ class BinningConfig:
 
     @property
     def n_cells(self) -> int:
-        return self.n_adc_bins * self.n_timepoints
+        return self.n_adc_bins * len(TIMEPOINTS)
 
     def bin_index(self, adc: float):
         """Bin for an ADC value, or None when outside [adc_min, adc_max]."""
@@ -227,8 +224,8 @@ def _fit_groups(group, b, s, n_groups):
 
     group[i] in [0, n_groups) names the voxel of sample (b[i], s[i]). The
     slope comes from centred sums, each one np.bincount over all samples.
-    Returns (D, S0, problem): problem[g] indexes _GROUP_PROBLEMS, 0 when
-    group g passed every check.
+    Returns (D, problem): problem[g] indexes _GROUP_PROBLEMS, 0 when group g
+    passed every check.
     """
     b_lo = np.full(n_groups, np.inf)
     b_hi = np.full(n_groups, -np.inf)
@@ -246,7 +243,7 @@ def _fit_groups(group, b, s, n_groups):
         db = b - b_mean[group]
         slope = (np.bincount(group, db * (y - y_mean[group]), n_groups)
                  / np.bincount(group, db * db, n_groups))
-        return -slope, np.exp(y_mean - slope * b_mean), problem
+        return -slope, problem
 
 
 def fit_adc(b_values, signals) -> float:
@@ -256,21 +253,15 @@ def fit_adc(b_values, signals) -> float:
     Fewer than two distinct b-values raise DegenerateDesignError; negative
     b-values, non-positive signals or non-finite values raise ValueError.
     """
-    d, _ = fit_adc_with_s0(b_values, signals)
-    return d
-
-
-def fit_adc_with_s0(b_values, signals):
-    """Like fit_adc but also returns the estimated zero-b signal S0."""
     b = np.asarray(b_values, dtype=float)
     s = np.asarray(signals, dtype=float)
     if b.ndim != 1 or b.shape != s.shape:
         raise ValueError("b_values and signals must have the same length")
-    d, s0, problem = _fit_groups(np.zeros(b.size, dtype=np.intp), b, s, 1)
+    d, problem = _fit_groups(np.zeros(b.size, dtype=np.intp), b, s, 1)
     if problem[0]:
         error, message = _GROUP_PROBLEMS[problem[0]]
         raise error(message)
-    return float(d[0]), float(s0[0])
+    return float(d[0])
 
 
 def bin_voxels(table: VoxelTable, config: BinningConfig):
@@ -590,7 +581,7 @@ def load_signal_csv(path) -> VoxelLoadResult:
     # popped, so each column's chunks are freed once they are joined
     group, b, s, first_line = (_cat(parts.pop(0), dtype)
                                for dtype in (np.int8, float, float, np.intp))
-    adc, _, problem = _fit_groups(group, b, s, len(tumor))
+    adc, problem = _fit_groups(group, b, s, len(tumor))
     t = _codes(timepoint, lambda v: _TIMEPOINT_CODES.get(v, -1), np.int8)
     c = _codes(cohort, lambda v: _COHORT_CODES.get(v, -1), np.int8)
     ok = (problem == 0) & (t >= 0) & (c >= 0) & np.isfinite(adc) & (adc > 0)

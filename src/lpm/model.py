@@ -336,12 +336,18 @@ def _em(H, P, Q, trainable, max_iter, tol, rng=None):
 
 
 def _stack(cohort, binning):
-    for h in cohort:
+    """Counts of each histogram as a row of an (S, n_cells) float array.
+
+    A histogram on another grid, or with no counts, is rejected.
+    """
+    H = np.empty((len(cohort), binning.n_cells))
+    for i, h in enumerate(cohort):
         if h.binning != binning:
             raise BinningMismatchError(f"tumor {h.tumor_id}: binning differs from model")
         if h.total == 0:
             raise EmptyInputError(f"tumor {h.tumor_id}: empty histogram")
-    return np.stack([h.counts.reshape(-1).astype(float) for h in cohort])
+        H[i] = h.counts.reshape(-1)
+    return H
 
 
 def _best_restart(H, k_total, init_P, opts):
@@ -519,6 +525,22 @@ def train_treatment(control_model: LpmModel, cohort, n_treatment: int,
     return TrainResult(model=model, quantities=quantities, diagnostics=diag)
 
 
+def train_model(control, treated, n_control: int, n_treatment: int,
+                opts: TrainOptions = TrainOptions()) -> LpmModel:
+    """Two-phase training: control components from the control cohort, then,
+    when n_treatment > 0, treatment components from the treated cohort.
+
+    A negative n_treatment is rejected before the control phase runs.
+    """
+    if n_treatment < 0:
+        raise ParameterError(f"n_treatment must be >= 1, or 0 for a control-only "
+                             f"model, got {n_treatment}")
+    model = train_control(control, n_control, opts).model
+    if n_treatment:
+        model = train_treatment(model, treated, n_treatment, opts).model
+    return model
+
+
 def fit_quantities(model: LpmModel, h: Histogram2D, max_iter: int = 200000,
                    tol: float = 1e-12, q_init=None):
     """Fit component quantities to one histogram with PMFs fixed.
@@ -527,18 +549,13 @@ def fit_quantities(model: LpmModel, h: Histogram2D, max_iter: int = 200000,
     (up to component collinearity) and the fit is deterministic: the default
     start is the uniform split of the total count.
     """
-    if h.binning != model.binning:
-        raise BinningMismatchError(f"tumor {h.tumor_id}: binning differs from model")
-    if h.total == 0:
-        raise EmptyInputError(f"tumor {h.tumor_id}: empty histogram")
-    hv = h.counts.reshape(-1).astype(float)
+    H = _stack([h], model.binning)
     K = model.n_components
     if q_init is None:
-        q = np.full(K, hv.sum() / K)
+        q = np.full(K, H.sum() / K)
     else:
         q = np.asarray(q_init, dtype=float)
-    _, Q, diag = _em(hv[None, :], model.P, q[None, :],
-                     np.zeros(K, dtype=bool), max_iter, tol)
+    _, Q, diag = _em(H, model.P, q[None, :], np.zeros(K, dtype=bool), max_iter, tol)
     return Q[0], diag
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import EmptyInputError, LpmError
 from .inference import ResponseResult, fit_and_score
-from .model import TrainOptions, train_control, train_treatment
+from .model import TrainOptions, train_model
 
 OUTLIER_Z = 2.0
 
@@ -22,10 +22,13 @@ OUTLIER_Z = 2.0
 class LooEntry:
     tumor_id: str
     leave_all_in: ResponseResult
-    leave_one_out: ResponseResult = None
-    failed: bool = False
+    leave_one_out: ResponseResult = None  # None when the fold failed
     outlier: bool = False
     reason: str = ""
+
+    @property
+    def failed(self) -> bool:
+        return self.leave_one_out is None
 
 
 @dataclass
@@ -34,17 +37,11 @@ class LooReport:
     outlier_flags: list  # (tumor_id, reason)
 
 
-def _train_full(control_cohort, treated_cohort, n_control, n_treatment, opts):
-    control = train_control(control_cohort, n_control, opts)
-    full = train_treatment(control.model, treated_cohort, n_treatment, opts)
-    return full.model
-
-
 def _run_fold(args):
     control_cohort, treated_cohort, n_control, n_treatment, opts, k = args
     reduced = control_cohort[:k] + control_cohort[k + 1:]
     try:
-        model = _train_full(reduced, treated_cohort, n_control, n_treatment, opts)
+        model = train_model(reduced, treated_cohort, n_control, n_treatment, opts)
         return k, fit_and_score(model, control_cohort[k]), ""
     except LpmError as exc:
         return k, None, str(exc)
@@ -64,7 +61,7 @@ def leave_one_out(control_cohort, treated_cohort, n_control: int,
         raise LpmError("leave-one-out scores treatment response and needs "
                        "n_treatment >= 1")
 
-    full_model = _train_full(control_cohort, treated_cohort,
+    full_model = train_model(control_cohort, treated_cohort,
                              n_control, n_treatment, opts)
     lai = [fit_and_score(full_model, h) for h in control_cohort]
 
@@ -77,14 +74,13 @@ def leave_one_out(control_cohort, treated_cohort, n_control: int,
             fold_results = list(pool.map(_run_fold, tasks))
     else:
         fold_results = [_run_fold(t) for t in tasks]
-    fold_results.sort(key=lambda r: r[0])
 
     entries = []
     flags = []
     for (k, loo, err), lai_result in zip(fold_results, lai):
         tumor_id = control_cohort[k].tumor_id
         entry = LooEntry(tumor_id=tumor_id, leave_all_in=lai_result,
-                         leave_one_out=loo, failed=loo is None, reason=err)
+                         leave_one_out=loo, reason=err)
         if loo is not None and abs(loo.z) >= OUTLIER_Z and loo.z > lai_result.z:
             entry.outlier = True
             entry.reason = (f"leave-one-out z={loo.z:.2f} >= {OUTLIER_Z} "

@@ -130,7 +130,7 @@ def paper_scale_runs():
         treated_results = [fit_and_score(full.model, h) for h in treated]
         control_results = [fit_and_score(full.model, h) for h in control]
         lpm_combined = combine_cohort([r.z for r in treated_results]).combined_z
-        _, baseline_combined = cohort_baseline(control + treated)
+        _, baseline_combined = cohort_baseline(control, treated)
         runs.append({
             "truth": truth,
             "treated_results": treated_results,

@@ -67,10 +67,9 @@ class TestSummaryChange:
         col1 = np.zeros(8, dtype=int)
         col1[5] = 8
         h = make_hist(small_binning, col0, col1, cohort="treated")
-        c = summary_change(h)
-        assert c.d_volume == -2.0
-        assert c.d_mean_adc > 0
-        assert c.cohort == "treated"
+        d_volume, d_mean_adc, _ = summary_change(h)
+        assert d_volume == -2.0
+        assert d_mean_adc > 0
 
 
 class TestWelchTTest:
@@ -124,21 +123,21 @@ class TestCombineTests:
 class TestCohortBaseline:
     def _cohort(self, small_binning):
         rng = np.random.default_rng(1)
-        hists = []
+        control, treated = [], []
         for i in range(5):  # controls: stable distribution
             col = rng.poisson(200, size=8) + 1
-            hists.append(make_hist(small_binning, col, col + rng.poisson(5, 8),
-                                   tumor_id=f"c{i}", cohort="control"))
+            control.append(make_hist(small_binning, col, col + rng.poisson(5, 8),
+                                     tumor_id=f"c{i}", cohort="control"))
         for i in range(5):  # treated: mass moves three bins up at follow-up
             col = rng.poisson(200, size=8) + 1
             shifted = np.zeros_like(col)
             shifted[3:] = col[:5]
-            hists.append(make_hist(small_binning, col, shifted,
-                                   tumor_id=f"t{i}", cohort="treated"))
-        return hists
+            treated.append(make_hist(small_binning, col, shifted,
+                                     tumor_id=f"t{i}", cohort="treated"))
+        return control, treated
 
     def test_detects_mean_shift(self, small_binning):
-        tests, combined = cohort_baseline(self._cohort(small_binning))
+        tests, combined = cohort_baseline(*self._cohort(small_binning))
         assert set(tests) == {"volume_change", "mean_adc_change", "iqr_change"}
         assert tests["mean_adc_change"].z_equivalent > 2.0
         assert combined >= abs(tests["mean_adc_change"].z_equivalent)
@@ -147,10 +146,10 @@ class TestCohortBaseline:
         col = np.full(8, 10)
         only_control = [make_hist(small_binning, col, col)]
         with pytest.raises(EmptyInputError):
-            cohort_baseline(only_control)
+            cohort_baseline(only_control, [])
 
     def test_csv_output(self, small_binning, tmp_path):
-        tests, combined = cohort_baseline(self._cohort(small_binning))
+        tests, combined = cohort_baseline(*self._cohort(small_binning))
         path = tmp_path / "baseline.csv"
         write_csv(path, {"seed": 0, "config_hash": "0"}, baseline_table(tests, combined))
         with open(path, newline="") as fh:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import lpm
-from lpm import validation
+from lpm import model as lpm_model
 from lpm.cli import RESPONSE_COLUMNS, _load_cohorts, main
 from lpm.errors import AnalysisError
 from lpm.histograms import BinningConfig, Histogram2D, write_histogram_json
@@ -326,14 +326,14 @@ class TestExitCodes:
                                                  capsys, monkeypatch):
         hists = pipeline / "histograms"
         first = _load_cohorts(hists)["control"][0].tumor_id
-        real = validation.train_control
+        real = lpm_model.train_control
 
         def train_control(cohort, n_control, opts):
             if cohort[0].tumor_id != first:  # the fold that leaves out `first`
                 raise AnalysisError("planted failure")
             return real(cohort, n_control, opts)
 
-        monkeypatch.setattr(validation, "train_control", train_control)
+        monkeypatch.setattr(lpm_model, "train_control", train_control)
         assert run(["validate", "--histograms", hists, "--n-control", "1",
                     "--n-treatment", "1", "--out-dir", tmp_path] + FAST) == 1
         err = capsys.readouterr().err
@@ -379,6 +379,10 @@ class TestExitCodes:
         pytest.param(["validate", "--histograms", "{hists}", "--n-control", "1",
                       "--n-treatment", "1", "--tol=-1e-9"], "tol must be >= 0",
                      id="tol-negative"),
+        pytest.param(["ingest"], "exactly one of --voxels and --signals",
+                     id="ingest-no-input"),
+        pytest.param(["ingest", "--voxels", "{voxels}", "--signals", "{voxels}"],
+                     "exactly one of --voxels and --signals", id="ingest-two-inputs"),
     ])
     def test_bad_value_is_input_error(self, pipeline, tmp_path, capsys, argv,
                                       message):
@@ -394,6 +398,17 @@ class TestExitCodes:
         errors = [line for line in err.splitlines() if "error" in line]
         assert len(errors) == 1 and message in errors[0], err
         assert "Traceback" not in err
+
+    def test_negative_treatment_count_is_rejected_before_training(
+            self, pipeline, tmp_path, monkeypatch):
+        def train_control(*args):
+            pytest.fail("control training ran before --n-treatment was checked")
+
+        monkeypatch.setattr(lpm_model, "train_control", train_control)
+        assert run(["train", "--histograms", pipeline / "histograms",
+                    "--n-control", "1", "--n-treatment", "-1",
+                    "--out-dir", tmp_path] + FAST) == 2
+        assert not (tmp_path / "model.json").exists()
 
 
 class TestConfigFile:
@@ -488,6 +503,28 @@ class TestDeterminism:
             assert p.read_bytes() == q.read_bytes()
         assert ((outs[0] / "ground_truth.json").read_bytes()
                 == (outs[1] / "ground_truth.json").read_bytes())
+
+    def test_rerun_artifacts_byte_identical(self, pipeline, sweeps, tmp_path):
+        """train, fit, validate, baseline and report, rerun into a new directory,
+        write the bytes the pipeline and sweeps fixtures wrote."""
+        hists = pipeline / "histograms"
+        common = ["--seed", "3", "--out-dir", tmp_path]
+        assert run(["train", "--histograms", hists, "--n-control", "3",
+                    "--n-treatment", "2"] + common + FAST) == 0
+        assert run(["fit", "--model", tmp_path / "model.json", "--histograms", hists,
+                    "--cohort", "treated"] + common) == 0
+        assert run(["validate", "--histograms", hists, "--n-control", "3",
+                    "--n-treatment", "2"] + common + FAST) == 0
+        assert run(["baseline", "--histograms", hists] + common) == 0
+        assert run(["report", "--model", tmp_path / "model.json", "--response",
+                    tmp_path / "response_treated.csv"] + common) == 0
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["baseline.csv", "components.svg", "effect_bars.svg",
+                         "loo_report.csv", "model.json", "report.txt",
+                         "response_treated.csv"]
+        for name in names:
+            first = (sweeps / "jobs1" if name == "loo_report.csv" else pipeline) / name
+            assert (tmp_path / name).read_bytes() == first.read_bytes(), name
 
 
 def _modules_after(tmp_path, code, package="scipy"):

@@ -9,8 +9,8 @@ from lpm import histograms
 from lpm.errors import (DegenerateDesignError, EmptyInputError,
                         InputFormatError)
 from lpm.histograms import (COHORTS, TIMEPOINTS, BinningConfig, Histogram2D,
-                            VoxelTable, bin_voxels, fit_adc, fit_adc_with_s0,
-                            load_signal_csv, load_voxel_csv, read_histogram_json,
+                            VoxelTable, bin_voxels, fit_adc, load_signal_csv,
+                            load_voxel_csv, read_histogram_json,
                             write_histogram_json, write_voxel_csv)
 
 
@@ -56,8 +56,6 @@ class TestBinningConfig:
             BinningConfig(adc_min=1.0, adc_max=1.0)
         with pytest.raises(ValueError):
             BinningConfig(n_adc_bins=1)
-        with pytest.raises(ValueError):
-            BinningConfig(n_timepoints=3)
 
     def test_json_roundtrip(self, binning):
         assert BinningConfig.from_json_dict(binning.to_json_dict()) == binning
@@ -119,9 +117,7 @@ class TestFitAdc:
         d_true, s0_true = 1.1e-3, 1500.0
         b = (0.0, 100.0, 500.0, 900.0)
         s = tuple(s0_true * math.exp(-bv * d_true) for bv in b)
-        d, s0 = fit_adc_with_s0(b, s)
-        assert d == pytest.approx(d_true, rel=1e-10)
-        assert s0 == pytest.approx(s0_true, rel=1e-10)
+        assert fit_adc(b, s) == pytest.approx(d_true, rel=1e-10)
 
     def test_two_point_fit(self):
         d = fit_adc((0.0, 1000.0), (1000.0, 1000.0 * math.exp(-1.0)))

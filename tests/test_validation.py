@@ -3,7 +3,7 @@ import csv
 import pytest
 
 from conftest import em_from_outside_the_cone
-from lpm import validation
+from lpm import model
 from lpm.cli import write_csv
 from lpm.errors import EmptyInputError, LpmError
 from lpm.histograms import BinningConfig
@@ -63,14 +63,14 @@ class TestLeaveOneOut:
 
     def test_failing_fold_recorded_as_failed(self, monkeypatch):
         control, treated = _cohorts()
-        real = validation.train_control
+        real = model.train_control
 
         def train_control(cohort, n_control, opts):
             if cohort[0] is not control[0]:  # the fold that leaves out control[0]
                 em_from_outside_the_cone()
             return real(cohort, n_control, opts)
 
-        monkeypatch.setattr(validation, "train_control", train_control)
+        monkeypatch.setattr(model, "train_control", train_control)
         opts = TrainOptions(seed=0, restarts=1, max_iter=3000)
         rep = leave_one_out(control, treated, 1, 1, opts)
         assert [e.failed for e in rep.entries] == [True, False, False, False]

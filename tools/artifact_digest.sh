@@ -1,0 +1,52 @@
+#!/bin/sh
+# Run a synthetic round trip with the lpm of <src-tree> and print one
+# "sha256  path" line per artifact it writes, sorted by path.
+#
+#   tools/artifact_digest.sh <src-tree> <out-dir>
+#
+# The round trip is lovo_like at seed 3, every training with --restarts 1:
+# synth --emit-voxels, ingest of the emitted voxels, select --k-max 5,
+# train 3+2 and 3+0, fit of both cohorts, validate, baseline and report.
+# Run it on two trees and diff the outputs to compare their artifacts
+# byte for byte. <out-dir> must not exist yet.
+set -eu
+if [ $# -ne 2 ]; then
+    echo "usage: $0 <src-tree> <out-dir>" >&2
+    exit 2
+fi
+src=$(cd "$1" && pwd)/src
+out=$2
+if [ -e "$out" ]; then
+    echo "$0: $out already exists" >&2
+    exit 2
+fi
+mkdir -p "$out"
+out=$(cd "$out" && pwd)
+
+lpm() {
+    PYTHONPATH="$src" python3 -m lpm.cli "$@" --seed 3 >/dev/null
+}
+
+fast="--restarts 1"
+hists=$out/synth/histograms
+lpm synth --preset lovo_like --emit-voxels --out-dir "$out/synth"
+lpm ingest --voxels "$out/synth/voxels.csv" --out-dir "$out/ingest"
+lpm select --histograms "$hists" --k-max 5 $fast --out-dir "$out/select"
+lpm train --histograms "$hists" --n-control 3 --n-treatment 0 $fast \
+    --out-dir "$out/train_3_0"
+lpm train --histograms "$hists" --n-control 3 --n-treatment 2 $fast \
+    --out-dir "$out/train_3_2"
+for cohort in control treated; do
+    lpm fit --model "$out/train_3_2/model.json" --histograms "$hists" \
+        --cohort "$cohort" --out-dir "$out/train_3_2"
+done
+lpm validate --histograms "$hists" --n-control 3 --n-treatment 2 $fast \
+    --out-dir "$out/validate"
+lpm baseline --histograms "$hists" --out-dir "$out/baseline"
+lpm report --model "$out/train_3_2/model.json" \
+    --response "$out/train_3_2/response_treated.csv" --out-dir "$out/report"
+
+cd "$out"
+find . -type f | LC_ALL=C sort | sed 's|^\./||' | while IFS= read -r f; do
+    sha256sum "$f"
+done
