@@ -186,18 +186,16 @@ def cmd_select(args, out: Path, meta: dict) -> int:
     cohorts = _load_cohorts(args.histograms)
     treated = cohorts["treated"]
     opts = _train_options(args)
-    curve_c, best_c = select_components(cohorts["control"], "control", None,
-                                        args.k_min, args.k_max, opts,
-                                        jobs=args.jobs)
+    curve_c, best_c = select_components(cohorts["control"], None, args.k_min,
+                                        args.k_max, opts, jobs=args.jobs)
     write_csv(out / "selection_control.csv", meta, selection_table(curve_c))
     (out / "selection_control.svg").write_text(svgplots.selection_curve_svg(curve_c))
     model = best_c.model
     if treated:
-        k_min_t = args.k_min_treatment or model.n_control + 1
-        k_max_t = args.k_max_treatment or model.n_control + (args.k_max - args.k_min) + 1
-        curve_t, best_t = select_components(treated, "treatment", model,
-                                            k_min_t, k_max_t, opts,
-                                            jobs=args.jobs)
+        k_min_t = model.n_control + 1
+        curve_t, best_t = select_components(treated, model, k_min_t,
+                                            k_min_t + args.k_max - args.k_min,
+                                            opts, jobs=args.jobs)
         write_csv(out / "selection_treatment.csv", meta, selection_table(curve_t))
         (out / "selection_treatment.svg").write_text(
             svgplots.selection_curve_svg(curve_t))
@@ -397,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--histograms", required=True)
     p.add_argument("--k-min", type=int, default=1)
     p.add_argument("--k-max", type=int, default=6)
-    p.add_argument("--k-min-treatment", type=int, default=0)
-    p.add_argument("--k-max-treatment", type=int, default=0)
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("fit", help="fit a trained model and score responses")
@@ -440,7 +436,7 @@ def main(argv=None) -> int:
     except AnalysisError as exc:
         print(f"analysis failed: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
-    except (LpmError, FileNotFoundError) as exc:
+    except (LpmError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -168,7 +168,7 @@ class LpmModel:
 @dataclass
 class TrainResult:
     model: LpmModel
-    quantities: dict  # tumor_id -> np.ndarray of length K
+    quantities: np.ndarray  # (S, K) as EM left them, rows in cohort order
     diagnostics: FitDiagnostics
 
 
@@ -386,8 +386,7 @@ def train_control(cohort, n_control: int, opts: TrainOptions = TrainOptions()) -
             "phase": "control"}
     model = LpmModel(P=P, n_control=n_control, binning=binning,
                      training_meta=meta)
-    quantities = {h.tumor_id: Q[i].copy() for i, h in enumerate(cohort)}
-    return TrainResult(model=model, quantities=quantities, diagnostics=diag)
+    return TrainResult(model=model, quantities=Q, diagnostics=diag)
 
 
 def _nnls(A, b, max_iter=None):
@@ -450,7 +449,7 @@ def _purify_treatment(P, n_control):
     longer in the span of the trained model's columns, so the model can fit
     worse. On lovo_like seed 1 (train 3+2, restarts 2) the treated cohort's
     chi2/dof is 5.29 under the trained PMFs and 7.03 after purification and
-    the quantity refit. The caller refits quantities under the returned PMFs.
+    the quantity refit. Quantities under the returned PMFs need a refit.
     """
     P = P.copy()
     Pc = P[:, :n_control]
@@ -467,7 +466,8 @@ def train_treatment(control_model: LpmModel, cohort, n_treatment: int,
     """Extend a control model with treatment components learnt from a cohort.
 
     Control PMFs are held fixed; only treatment PMFs and the per-histogram
-    quantities (control and treatment alike) are optimised.
+    quantities (control and treatment alike) are optimised. The returned
+    quantities are EM's, under the PMFs before _purify_treatment.
     """
     if control_model.n_treatment != 0:
         raise ParameterError("base model already has treatment components")
@@ -516,13 +516,7 @@ def train_treatment(control_model: LpmModel, cohort, n_treatment: int,
                  "treatment_degenerate": diag.degenerate, "phase": "full"})
     model = LpmModel(P=_purify_treatment(P, n_control), n_control=n_control,
                      binning=binning, training_meta=meta)
-    # purification moved quantities between components; refit them so the
-    # reported values are maximum likelihood under the final PMFs
-    quantities = {}
-    for i, h in enumerate(cohort):
-        q, _ = fit_quantities(model, h, q_init=np.maximum(Q[i], H[i].sum() * 1e-6))
-        quantities[h.tumor_id] = q
-    return TrainResult(model=model, quantities=quantities, diagnostics=diag)
+    return TrainResult(model=model, quantities=Q, diagnostics=diag)
 
 
 def train_model(control, treated, n_control: int, n_treatment: int,

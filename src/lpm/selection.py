@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OverParameterisedError, ParameterError, SelectionFailedError
-from .model import (LpmModel, TrainOptions, model_expectation, train_control,
-                    train_treatment)
+from .model import (LpmModel, TrainOptions, fit_quantities, model_expectation,
+                    train_control, train_treatment)
 
 SQRT_VARIANCE = 0.25
 # Minimum chi2/dof improvement that justifies another component. Adding a
@@ -44,7 +44,7 @@ class SelectionPoint:
 @dataclass
 class SelectionCurve:
     points: list  # SelectionPoint, ascending n_components
-    phase: str  # "control" | "treatment"
+    phase: str  # "control", or "treatment" for a sweep on a base model
     chosen: int
 
 
@@ -69,15 +69,15 @@ def chi2_per_dof(histograms, model: LpmModel, quantities,
                  n_trainable_components: int = 0) -> GoodnessOfFit:
     """Cohort chi-squared per dof for converged fits of one model.
 
-    quantities maps tumor_id -> quantity vector. Free parameters are the
-    trainable PMF cells (one normalisation constraint each) plus every
-    fitted quantity.
+    quantities holds one quantity vector per histogram, in the same order.
+    Free parameters are the trainable PMF cells (one normalisation
+    constraint each) plus every fitted quantity.
     """
     raw = 0.0
     active = 0
     union = np.zeros(model.binning.n_cells, dtype=bool)
-    for h in histograms:
-        M = model_expectation(model, quantities[h.tumor_id])
+    for h, q in zip(histograms, quantities, strict=True):
+        M = model_expectation(model, q)
         gof = chi2_statistic(h.counts, M)
         raw += gof.raw_chi2
         active += gof.dof
@@ -110,15 +110,20 @@ def choose_component_count(points) -> int:
 
 def _train_candidate(args):
     """(SelectionPoint, TrainResult) of one candidate component count."""
-    phase, cohort, base_model, k, opts = args
-    if phase == "control":
+    cohort, base_model, k, opts = args
+    if base_model is None:
         n_trainable, result = k, train_control(cohort, k, opts)
+        quantities = result.quantities
     else:
         n_trainable = k - base_model.n_control
         result = train_treatment(base_model, cohort, n_trainable, opts)
+        # EM's quantities predate purification; refit them under the model
+        quantities = [fit_quantities(result.model, h,
+                                     q_init=np.maximum(q, h.total * 1e-6))[0]
+                      for h, q in zip(cohort, result.quantities)]
     diag = result.diagnostics
     try:
-        chi2 = chi2_per_dof(cohort, result.model, result.quantities,
+        chi2 = chi2_per_dof(cohort, result.model, quantities,
                             n_trainable_components=n_trainable).chi2_per_dof
         degenerate = diag.degenerate
     except OverParameterisedError:
@@ -128,22 +133,22 @@ def _train_candidate(args):
                           converged=diag.converged), result
 
 
-def select_components(cohort, phase: str, base_model, k_min: int, k_max: int,
+def select_components(cohort, base_model, k_min: int, k_max: int,
                       opts: TrainOptions = TrainOptions(), jobs: int = 1):
     """Sweep component counts and pick the most parsimonious near-minimum.
 
-    For phase "control", k counts control components. For phase "treatment",
-    k counts total components on top of base_model (so k starts above
-    base_model.n_control). Returns (SelectionCurve, best TrainResult).
+    With base_model None, k counts control components. Otherwise k counts
+    all components: base_model's control ones plus the treatment ones
+    trained on them (so k starts above base_model.n_control). Returns
+    (SelectionCurve, best TrainResult).
     """
-    if phase not in ("control", "treatment"):
-        raise ValueError(f"unknown phase {phase!r}")
-    floor = 1 if phase == "control" else base_model.n_control + 1
+    phase = "control" if base_model is None else "treatment"
+    floor = 1 if base_model is None else base_model.n_control + 1
     if k_min < floor:
         raise ParameterError(f"k_min must be >= {floor} for phase {phase}, got {k_min}")
     if k_max <= k_min:
         raise ParameterError(f"need k_max > k_min, got [{k_min}, {k_max}]")
-    tasks = [(phase, list(cohort), base_model, k, opts)
+    tasks = [(list(cohort), base_model, k, opts)
              for k in range(k_min, k_max + 1)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

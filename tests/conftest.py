@@ -44,6 +44,19 @@ def poisson_histogram(model, q, seed, tumor_id="t1", cohort="control"):
                       binning=model.binning)
 
 
+@pytest.fixture
+def small_cohorts(small_binning):
+    """Four control and four treated Poisson histograms from a 2 + 1 model."""
+    truth = make_model(small_binning, n_control=2, n_treatment=1, seed=3)
+    control = [poisson_histogram(truth, np.array([4000.0, 2000.0, 0.0]),
+                                 seed=i, tumor_id=f"c{i}")
+               for i in range(4)]
+    treated = [poisson_histogram(truth, np.array([2500.0, 1500.0, 2000.0]),
+                                 seed=10 + i, tumor_id=f"t{i}", cohort="treated")
+               for i in range(4)]
+    return control, treated
+
+
 def em_from_outside_the_cone():
     """Run model._em from a negative quantity, where its updates lower the objective."""
     from lpm.model import _em

@@ -179,7 +179,7 @@ def test_criterion_06_model_selection(k_true):
     for seed in range(20):
         control, _, _ = generate(_selection_scenario(k_true, seed))
         opts = TrainOptions(seed=seed, restarts=5)
-        curve, _ = select_components(control, "control", None, 1, 5, opts)
+        curve, _ = select_components(control, None, 1, 5, opts)
         chosen.append(curve.chosen)
         chis.append(next(p.chi2_per_dof for p in curve.points
                          if p.n_components == k_true))

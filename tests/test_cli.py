@@ -383,6 +383,12 @@ class TestExitCodes:
                      id="ingest-no-input"),
         pytest.param(["ingest", "--voxels", "{voxels}", "--signals", "{voxels}"],
                      "exactly one of --voxels and --signals", id="ingest-two-inputs"),
+        pytest.param(["ingest", "--voxels", "{hists}"], "Is a directory",
+                     id="voxels-directory"),
+        pytest.param(["fit", "--model", "{hists}", "--histograms", "{hists}"],
+                     "Is a directory", id="model-directory"),
+        pytest.param(["baseline", "--histograms", "{hists}", "--config", "{hists}"],
+                     "Is a directory", id="config-directory"),
     ])
     def test_bad_value_is_input_error(self, pipeline, tmp_path, capsys, argv,
                                       message):

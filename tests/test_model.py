@@ -11,8 +11,8 @@ from lpm.errors import (AnalysisError, BinningMismatchError, EmptyInputError,
 from lpm.histograms import Histogram2D
 from lpm.model import (ComponentPmf, LpmModel, TrainOptions, _nnls,
                        _purify_treatment, fit_quantities, model_expectation,
-                       read_model_json, train_control, train_treatment,
-                       write_model_json)
+                       read_model_json, train_control, train_model,
+                       train_treatment, write_model_json)
 
 
 class TestComponentPmf:
@@ -227,10 +227,9 @@ class TestTrainControl:
         m = result.model
         assert m.n_control == 2 and m.n_treatment == 0
         assert np.allclose(m.P.sum(axis=0), 1.0)
-        assert set(result.quantities) == {f"c{i}" for i in range(4)}
-        for h in cohort:
-            assert result.quantities[h.tumor_id].sum() == pytest.approx(
-                h.total, rel=1e-3)
+        assert result.quantities.shape == (4, 2)
+        for h, q in zip(cohort, result.quantities):
+            assert q.sum() == pytest.approx(h.total, rel=1e-3)
 
     def test_deterministic_given_seed(self, small_binning):
         truth = make_model(small_binning, n_control=2, seed=9)
@@ -241,8 +240,7 @@ class TestTrainControl:
         a = train_control(cohort, 2, opts)
         b = train_control(cohort, 2, opts)
         assert np.array_equal(a.model.P, b.model.P)
-        for tid in a.quantities:
-            assert np.array_equal(a.quantities[tid], b.quantities[tid])
+        assert np.array_equal(a.quantities, b.quantities)
 
     def test_empty_cohort(self):
         with pytest.raises(EmptyInputError):
@@ -264,19 +262,13 @@ class TestTrainControl:
 
 
 class TestTrainTreatment:
+    OPTS = TrainOptions(seed=0, restarts=2, max_iter=2000)
+
     @pytest.fixture
-    def trained(self, small_binning):
-        truth = make_model(small_binning, n_control=2, n_treatment=1, seed=3)
-        control = [poisson_histogram(truth, np.array([4000.0, 2000.0, 0.0]),
-                                     seed=i, tumor_id=f"c{i}")
-                   for i in range(4)]
-        treated = [poisson_histogram(truth, np.array([2500.0, 1500.0, 2000.0]),
-                                     seed=10 + i, tumor_id=f"t{i}",
-                                     cohort="treated")
-                   for i in range(4)]
-        opts = TrainOptions(seed=0, restarts=2, max_iter=2000)
-        base = train_control(control, 2, opts)
-        return base, train_treatment(base.model, treated, 1, opts), treated
+    def trained(self, small_cohorts):
+        control, treated = small_cohorts
+        base = train_control(control, 2, self.OPTS)
+        return base, train_treatment(base.model, treated, 1, self.OPTS), treated
 
     def test_control_components_frozen_bitwise(self, trained):
         base, full, _ = trained
@@ -285,9 +277,24 @@ class TestTrainTreatment:
     def test_treatment_component_added(self, trained):
         _, full, treated = trained
         assert full.model.n_treatment == 1
-        assert set(full.quantities) == {h.tumor_id for h in treated}
-        for h in treated:
-            assert full.quantities[h.tumor_id].shape == (3,)
+        assert full.quantities.shape == (len(treated), 3)
+
+    def test_train_model_fits_quantities_only_for_the_treatment_start(
+            self, small_cohorts, monkeypatch):
+        # one control-only fit per treated tumor seeds the treatment PMFs;
+        # quantities under the purified PMFs are left to their readers
+        real = model_module.fit_quantities
+        calls = []
+
+        def fit_quantities(model, h, **kwargs):
+            calls.append(kwargs)
+            return real(model, h, **kwargs)
+
+        monkeypatch.setattr(model_module, "fit_quantities", fit_quantities)
+        control, treated = small_cohorts
+        train_model(control, treated, 2, 1, self.OPTS)
+        assert len(calls) == len(treated)
+        assert not any("q_init" in kwargs for kwargs in calls)
 
     def test_needs_treatment_components(self, trained):
         base, _, treated = trained

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import make_model, poisson_histogram
+from lpm import model as model_module
 from lpm import selection
 from lpm.cli import write_csv
 from lpm.errors import OverParameterisedError, SelectionFailedError
-from lpm.model import TrainOptions, fit_quantities
+from lpm.model import TrainOptions, fit_quantities, train_control
 from lpm.selection import (SQRT_VARIANCE, SelectionPoint, chi2_per_dof,
                            chi2_statistic, choose_component_count,
                            select_components, selection_table)
@@ -46,7 +47,7 @@ class TestChi2PerDof:
         q_true = np.array([5000.0, 3000.0])
         cohort = [poisson_histogram(model, q_true, seed=i, tumor_id=f"c{i}")
                   for i in range(6)]
-        quantities = {h.tumor_id: fit_quantities(model, h)[0] for h in cohort}
+        quantities = [fit_quantities(model, h)[0] for h in cohort]
         gof = chi2_per_dof(cohort, model, quantities)
         assert 0.5 < gof.chi2_per_dof < 1.6
 
@@ -54,10 +55,10 @@ class TestChi2PerDof:
         model = make_model(small_binning, n_control=2, seed=4)
         cohort = [poisson_histogram(model, np.array([5000.0, 3000.0]),
                                     seed=0, tumor_id="c0")]
-        quantities = {"c0": fit_quantities(model, cohort[0])[0]}
+        quantities = [fit_quantities(model, cohort[0])[0]]
         gof = chi2_per_dof(cohort, model, quantities)
         H = cohort[0].counts.reshape(-1)
-        informative = int(((H + model.P @ quantities["c0"]) > 0).sum())
+        informative = int(((H + model.P @ quantities[0]) > 0).sum())
         assert gof.dof == informative - 2
 
     def test_trainable_pmf_params_within_support_union(self, small_binning):
@@ -65,15 +66,15 @@ class TestChi2PerDof:
         cohort = [poisson_histogram(model, np.array([5000.0]),
                                     seed=i, tumor_id=f"c{i}")
                   for i in range(3)]
-        quantities = {h.tumor_id: fit_quantities(model, h)[0] for h in cohort}
+        quantities = [fit_quantities(model, h)[0] for h in cohort]
         base = chi2_per_dof(cohort, model, quantities)
         trained = chi2_per_dof(cohort, model, quantities,
                                n_trainable_components=1)
         # one trainable PMF costs (union of active cells - 1) further dof
         union = np.zeros(small_binning.n_cells, dtype=bool)
-        for h in cohort:
+        for h, q in zip(cohort, quantities):
             H = h.counts.reshape(-1)
-            M = model.P @ quantities[h.tumor_id]
+            M = model.P @ q
             union |= (H + M) > 0
         assert base.dof - trained.dof == int(union.sum()) - 1
 
@@ -135,7 +136,7 @@ def _easy_cohort():
 @pytest.fixture(scope="module")
 def easy_sweep():
     opts = TrainOptions(seed=11, restarts=2, max_iter=5000)
-    return select_components(_easy_cohort(), "control", None, 1, 3, opts)
+    return select_components(_easy_cohort(), None, 1, 3, opts)
 
 
 class TestSelectComponents:
@@ -166,7 +167,7 @@ class TestSelectComponents:
         # 20 maps converge K = 1 but stop K = 2 and 3 short; unflagged, the
         # capped K = 2 would win on chi2/dof as it does in easy_sweep
         opts = TrainOptions(seed=11, restarts=2, max_iter=20)
-        curve, best = select_components(_easy_cohort(), "control", None, 1, 3, opts)
+        curve, best = select_components(_easy_cohort(), None, 1, 3, opts)
         assert [p.converged for p in curve.points] == [True, False, False]
         assert curve.chosen == 1 and best.model.n_control == 1
         rows = selection_table(curve)
@@ -185,16 +186,36 @@ class TestSelectComponents:
 
         monkeypatch.setattr(selection, "train_control", train_control)
         opts = TrainOptions(seed=11, restarts=2, max_iter=5000)
-        curve, best = select_components(_easy_cohort(), "control", None, 1, 3, opts)
+        curve, best = select_components(_easy_cohort(), None, 1, 3, opts)
         rows = selection_table(curve)
         assert rows[0][3] == "degenerate"
         assert [r[3] for r in rows[1:]] == [0, 1, 0]
         assert curve.chosen != 2 and best.model.n_control == curve.chosen
 
+    def test_treatment_candidate_refits_quantities_from_em(self, small_cohorts,
+                                                           monkeypatch):
+        # per candidate and treated tumor: the control-only fit that seeds
+        # training, then the refit under the purified PMFs from EM's start
+        control, treated = small_cohorts
+        opts = TrainOptions(seed=0, restarts=1, max_iter=2000)
+        base = train_control(control, 2, opts).model
+        real = fit_quantities
+        starts = []
+
+        def counting(model, h, **kwargs):
+            starts.append("q_init" in kwargs)
+            return real(model, h, **kwargs)
+
+        monkeypatch.setattr(model_module, "fit_quantities", counting)
+        monkeypatch.setattr(selection, "fit_quantities", counting)
+        curve, best = select_components(treated, base, 3, 4, opts)
+        assert curve.phase == "treatment"
+        assert [p.n_components for p in curve.points] == [3, 4]
+        assert starts.count(False) == starts.count(True) == 2 * len(treated)
+        assert best.quantities.shape == (len(treated), curve.chosen)
+
     def test_bad_sweep_bounds(self):
         with pytest.raises(ValueError):
-            select_components([], "control", None, 3, 2)
+            select_components([], None, 3, 2)
         with pytest.raises(ValueError):
-            select_components([], "control", None, 0, 3)
-        with pytest.raises(ValueError):
-            select_components([], "banana", None, 1, 3)
+            select_components([], None, 0, 3)

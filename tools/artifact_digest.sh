@@ -7,6 +7,8 @@
 # The round trip is lovo_like at seed 3, every training with --restarts 1:
 # synth --emit-voxels, ingest of the emitted voxels, select --k-max 5,
 # train 3+2 and 3+0, fit of both cohorts, validate, baseline and report.
+# select and validate run once more with --jobs 2 (into select_jobs2 and
+# validate_jobs2), so the digest also covers the process-pool path.
 # Run it on two trees and diff the outputs to compare their artifacts
 # byte for byte. <out-dir> must not exist yet.
 set -eu
@@ -31,7 +33,14 @@ fast="--restarts 1"
 hists=$out/synth/histograms
 lpm synth --preset lovo_like --emit-voxels --out-dir "$out/synth"
 lpm ingest --voxels "$out/synth/voxels.csv" --out-dir "$out/ingest"
-lpm select --histograms "$hists" --k-max 5 $fast --out-dir "$out/select"
+sweeps() {  # <jobs> <out-dir suffix>
+    lpm select --histograms "$hists" --k-max 5 $fast --jobs "$1" \
+        --out-dir "$out/select$2"
+    lpm validate --histograms "$hists" --n-control 3 --n-treatment 2 $fast \
+        --jobs "$1" --out-dir "$out/validate$2"
+}
+sweeps 1 ""
+sweeps 2 _jobs2
 lpm train --histograms "$hists" --n-control 3 --n-treatment 0 $fast \
     --out-dir "$out/train_3_0"
 lpm train --histograms "$hists" --n-control 3 --n-treatment 2 $fast \
@@ -40,8 +49,6 @@ for cohort in control treated; do
     lpm fit --model "$out/train_3_2/model.json" --histograms "$hists" \
         --cohort "$cohort" --out-dir "$out/train_3_2"
 done
-lpm validate --histograms "$hists" --n-control 3 --n-treatment 2 $fast \
-    --out-dir "$out/validate"
 lpm baseline --histograms "$hists" --out-dir "$out/baseline"
 lpm report --model "$out/train_3_2/model.json" \
     --response "$out/train_3_2/response_treated.csv" --out-dir "$out/report"
