@@ -23,7 +23,7 @@ _EXPORTS = {
                   "combine_cohort", "fit_and_score", "quantity_covariance",
                   "response_result"),
     "synth": ("GroundTruth", "SynthSpec", "default_scenarios", "generate"),
-    "validation": ("LooReport", "leave_one_out"),
+    "validation": ("LooEntry", "leave_one_out"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -34,11 +34,11 @@ EXIT_ANALYSIS = 1
 EXIT_INPUT = 2
 
 
-# arguments that name filesystem locations rather than computation
-# parameters; excluded from the hash so reruns from or into different
-# directories produce identical artifacts
-_PATH_ARGS = ("func", "config", "out_dir", "histograms", "model", "response",
-              "voxels", "signals")
+# arguments that do not change results: filesystem locations and the worker
+# count; excluded from the hash so reruns from or into other directories, or
+# with other --jobs, produce identical artifacts
+_UNHASHED_ARGS = ("func", "config", "out_dir", "histograms", "model", "response",
+                  "voxels", "signals", "jobs")
 
 # response_*.csv columns; every column after tumor_id is a ResponseResult float
 RESPONSE_COLUMNS = ("tumor_id", "z", "p_two_tailed", "effect_fraction",
@@ -46,8 +46,8 @@ RESPONSE_COLUMNS = ("tumor_id", "z", "p_two_tailed", "effect_fraction",
 
 
 def _meta(args) -> dict:
-    """The run seed and a hash of every parsed argument but the paths."""
-    payload = {k: v for k, v in vars(args).items() if k not in _PATH_ARGS}
+    """The run seed and a hash of every parsed argument that shapes results."""
+    payload = {k: v for k, v in vars(args).items() if k not in _UNHASHED_ARGS}
     digest = hashlib.sha256(json.dumps(payload, sort_keys=True,
                                        default=str).encode()).hexdigest()[:16]
     return {"seed": args.seed, "config_hash": digest}
@@ -251,18 +251,19 @@ def cmd_validate(args, out: Path, meta: dict) -> int:
     """Run the LOO protocol; a failed fold is reported as fit reports a
     failed tumor: its row reads "failed", it is named on stderr, and the
     run exits 1 once loo_report.csv is written."""
-    from .validation import leave_one_out, loo_table
+    from .validation import OUTLIER_Z, leave_one_out, loo_table
     cohorts = _load_cohorts(args.histograms)
-    report = leave_one_out(cohorts["control"], cohorts["treated"], args.n_control,
-                           args.n_treatment, _train_options(args), jobs=args.jobs)
-    write_csv(out / "loo_report.csv", meta, loo_table(report))
-    print(f"{len(report.entries)} folds, "
-          f"{len(report.outlier_flags)} outlier flags")
-    for tumor_id, reason in report.outlier_flags:
-        print(f"  outlier {tumor_id}: {reason}")
-    failed = [e for e in report.entries if e.failed]
+    entries = leave_one_out(cohorts["control"], cohorts["treated"], args.n_control,
+                            args.n_treatment, _train_options(args), jobs=args.jobs)
+    write_csv(out / "loo_report.csv", meta, loo_table(entries))
+    outliers = [e for e in entries if e.outlier]
+    print(f"{len(entries)} folds, {len(outliers)} outlier flags")
+    for e in outliers:
+        print(f"  outlier {e.tumor_id}: leave-one-out z={e.leave_one_out.z:.2f} "
+              f">= {OUTLIER_Z} and exceeds leave-all-in z={e.leave_all_in.z:.2f}")
+    failed = [e for e in entries if e.failed]
     for e in failed:
-        print(f"error: fold {e.tumor_id}: {e.reason}", file=sys.stderr)
+        print(f"error: fold {e.tumor_id}: {e.error}", file=sys.stderr)
     return EXIT_ANALYSIS if failed else EXIT_OK
 
 

@@ -181,8 +181,12 @@ class Histogram2D:
         counts = np.asarray(self.counts)
         if counts.shape != (self.binning.n_adc_bins, 2):
             raise ValueError(f"counts shape {counts.shape} does not match binning")
-        if np.any(counts < 0) or not np.all(counts == np.floor(counts)):
-            raise ValueError("counts must be non-negative integers")
+        # checked before the cast; integers beyond int64 arrive as objects,
+        # and the bound on the sum keeps `total` from overflowing
+        if counts.dtype.kind not in "iuf" or not (
+                np.all((counts >= 0) & (counts == np.floor(counts)))
+                and counts.sum(dtype=float) < 2 ** 63):
+            raise ValueError("counts must be non-negative integers summing below 2**63")
         self.counts = counts.astype(np.int64)
         self.counts.setflags(write=False)
 
@@ -205,7 +209,7 @@ class Histogram2D:
     @classmethod
     def from_json_dict(cls, d) -> "Histogram2D":
         return cls(tumor_id=d["tumor_id"], cohort=d["cohort"],
-                   counts=np.asarray(d["counts"], dtype=np.int64),
+                   counts=d["counts"],
                    binning=BinningConfig.from_json_dict(d["binning"]),
                    overflow=int(d.get("overflow", 0)),
                    warnings=tuple(d.get("warnings", ())))

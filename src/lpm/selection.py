@@ -9,12 +9,13 @@ constant sigma^2 = 1/4.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import OverParameterisedError, ParameterError, SelectionFailedError
-from .model import (LpmModel, TrainOptions, fit_quantities, model_expectation,
-                    train_control, train_treatment)
+from .model import (LpmModel, TrainOptions, fit_quantities, map_jobs,
+                    model_expectation, train_control, train_treatment)
 
 SQRT_VARIANCE = 0.25
 # Minimum chi2/dof improvement that justifies another component. Adding a
@@ -108,9 +109,8 @@ def choose_component_count(points) -> int:
     return usable[-1].n_components
 
 
-def _train_candidate(args):
+def _train_candidate(cohort, base_model, opts, k):
     """(SelectionPoint, TrainResult) of one candidate component count."""
-    cohort, base_model, k, opts = args
     if base_model is None:
         n_trainable, result = k, train_control(cohort, k, opts)
         quantities = result.quantities
@@ -148,16 +148,8 @@ def select_components(cohort, base_model, k_min: int, k_max: int,
         raise ParameterError(f"k_min must be >= {floor} for phase {phase}, got {k_min}")
     if k_max <= k_min:
         raise ParameterError(f"need k_max > k_min, got [{k_min}, {k_max}]")
-    tasks = [(list(cohort), base_model, k, opts)
-             for k in range(k_min, k_max + 1)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_train_candidate, tasks))
-    else:
-        outcomes = [_train_candidate(t) for t in tasks]
-    # both keep task order, so outcomes ascend in k from k_min
+    outcomes = map_jobs(partial(_train_candidate, list(cohort), base_model, opts),
+                        range(k_min, k_max + 1), jobs)
     points = [point for point, _ in outcomes]
     chosen = choose_component_count(points)
     return (SelectionCurve(points=points, phase=phase, chosen=chosen),

@@ -10,10 +10,11 @@ protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import EmptyInputError, LpmError
 from .inference import ResponseResult, fit_and_score
-from .model import TrainOptions, train_model
+from .model import TrainOptions, map_jobs, train_model
 
 OUTLIER_Z = 2.0
 
@@ -23,22 +24,23 @@ class LooEntry:
     tumor_id: str
     leave_all_in: ResponseResult
     leave_one_out: ResponseResult = None  # None when the fold failed
-    outlier: bool = False
-    reason: str = ""
+    error: str = ""  # why the fold failed
 
     @property
     def failed(self) -> bool:
         return self.leave_one_out is None
 
+    @property
+    def outlier(self) -> bool:
+        """The held-out z reaches OUTLIER_Z in size and exceeds the
+        leave-all-in z."""
+        loo = self.leave_one_out
+        return (loo is not None and abs(loo.z) >= OUTLIER_Z
+                and loo.z > self.leave_all_in.z)
 
-@dataclass
-class LooReport:
-    entries: list
-    outlier_flags: list  # (tumor_id, reason)
 
-
-def _run_fold(args):
-    control_cohort, treated_cohort, n_control, n_treatment, opts, k = args
+def _run_fold(control_cohort, treated_cohort, n_control, n_treatment, opts, k):
+    """(k, leave-one-out result, "") of fold k, or (k, None, error) if it failed."""
     reduced = control_cohort[:k] + control_cohort[k + 1:]
     try:
         model = train_model(reduced, treated_cohort, n_control, n_treatment, opts)
@@ -49,8 +51,11 @@ def _run_fold(args):
 
 def leave_one_out(control_cohort, treated_cohort, n_control: int,
                   n_treatment: int, opts: TrainOptions = TrainOptions(),
-                  jobs: int = 1) -> LooReport:
-    """Run the leave-all-in / leave-one-out protocol over a control cohort."""
+                  jobs: int = 1) -> list:
+    """Run the leave-all-in / leave-one-out protocol over a control cohort.
+
+    Returns one LooEntry per control tumor, in cohort order.
+    """
     control_cohort = list(control_cohort)
     treated_cohort = list(treated_cohort)
     if len(control_cohort) < 3:
@@ -64,40 +69,21 @@ def leave_one_out(control_cohort, treated_cohort, n_control: int,
     full_model = train_model(control_cohort, treated_cohort,
                              n_control, n_treatment, opts)
     lai = [fit_and_score(full_model, h) for h in control_cohort]
-
-    tasks = [(control_cohort, treated_cohort, n_control, n_treatment, opts, k)
-             for k in range(len(control_cohort))]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            fold_results = list(pool.map(_run_fold, tasks))
-    else:
-        fold_results = [_run_fold(t) for t in tasks]
-
-    entries = []
-    flags = []
-    for (k, loo, err), lai_result in zip(fold_results, lai):
-        tumor_id = control_cohort[k].tumor_id
-        entry = LooEntry(tumor_id=tumor_id, leave_all_in=lai_result,
-                         leave_one_out=loo, reason=err)
-        if loo is not None and abs(loo.z) >= OUTLIER_Z and loo.z > lai_result.z:
-            entry.outlier = True
-            entry.reason = (f"leave-one-out z={loo.z:.2f} >= {OUTLIER_Z} "
-                            f"and exceeds leave-all-in z={lai_result.z:.2f}")
-            flags.append((tumor_id, entry.reason))
-        entries.append(entry)
-    return LooReport(entries=entries, outlier_flags=flags)
+    folds = map_jobs(partial(_run_fold, control_cohort, treated_cohort,
+                             n_control, n_treatment, opts),
+                     range(len(control_cohort)), jobs)
+    return [LooEntry(tumor_id=h.tumor_id, leave_all_in=r, leave_one_out=loo, error=err)
+            for h, r, (_, loo, err) in zip(control_cohort, lai, folds)]
 
 
-def loo_table(report: LooReport) -> list:
+def loo_table(entries) -> list:
     """Header and one row per control tumor, as loo_report.csv holds them.
 
     A failed fold's leave-one-out cells read "failed".
     """
     table = [("tumor_id", "z_lai", "z_loo", "p_lai", "p_loo", "effect_lai",
               "effect_loo", "err_lai", "err_loo", "outlier_flag")]
-    for e in report.entries:
+    for e in entries:
         row = [e.tumor_id]
         for attr in ("z", "p_two_tailed", "effect_fraction", "effect_fraction_sigma"):
             loo = e.leave_one_out

@@ -299,8 +299,8 @@ def test_criterion_09_loo_planted_outlier_sensitivity():
     for seed in range(20):
         control, treated = _loo_cohort(seed, contaminate=True)
         opts = TrainOptions(seed=seed, restarts=LOO_OPTS_RESTARTS)
-        report = leave_one_out(control, treated, 3, 2, opts)
-        if any(tid == control[0].tumor_id for tid, _ in report.outlier_flags):
+        entries = leave_one_out(control, treated, 3, 2, opts)
+        if entries[0].outlier:
             flagged += 1
     assert flagged >= 16, f"planted outlier flagged in {flagged}/20 seeds"
 
@@ -310,8 +310,8 @@ def test_criterion_09_loo_clean_cohort_specificity():
     for seed in range(20):
         control, treated = _loo_cohort(seed, contaminate=False)
         opts = TrainOptions(seed=seed, restarts=LOO_OPTS_RESTARTS)
-        report = leave_one_out(control, treated, 3, 2, opts)
-        if len(report.outlier_flags) <= 1:
+        entries = leave_one_out(control, treated, 3, 2, opts)
+        if sum(e.outlier for e in entries) <= 1:
             quiet += 1
     assert quiet >= 18, f"clean cohort quiet in {quiet}/20 runs"
 

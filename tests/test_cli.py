@@ -389,6 +389,11 @@ class TestExitCodes:
                      "Is a directory", id="model-directory"),
         pytest.param(["baseline", "--histograms", "{hists}", "--config", "{hists}"],
                      "Is a directory", id="config-directory"),
+        pytest.param(["select", "--histograms", "{hists}", "--jobs", "0"],
+                     "jobs must be >= 1", id="select-jobs-0"),
+        pytest.param(["validate", "--histograms", "{hists}", "--n-control", "3",
+                      "--n-treatment", "2", "--jobs", "-2"] + FAST,
+                     "jobs must be >= 1", id="validate-jobs-negative"),
     ])
     def test_bad_value_is_input_error(self, pipeline, tmp_path, capsys, argv,
                                       message):
@@ -403,6 +408,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if "error" in line]
         assert len(errors) == 1 and message in errors[0], err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("count", ["2.5", "1" + "0" * 30, "Infinity"],
+                             ids=["fraction", "beyond-int64", "infinite"])
+    def test_malformed_histogram_counts_are_input_error(self, pipeline, tmp_path,
+                                                        capsys, count):
+        hists = tmp_path / "histograms"
+        shutil.copytree(pipeline / "histograms", hists)
+        path = sorted(hists.glob("ctl*.json"))[0]
+        d = json.loads(path.read_text())
+        d["counts"][0][0] = "COUNT"
+        path.write_text(json.dumps(d).replace('"COUNT"', count))
+        assert run(["baseline", "--histograms", hists, "--out-dir", tmp_path]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error" in line]
+        assert len(errors) == 1 and "malformed histogram" in errors[0], err
         assert "Traceback" not in err
 
     def test_negative_treatment_count_is_rejected_before_training(
@@ -479,13 +500,11 @@ def sweeps(pipeline, tmp_path_factory):
 
 class TestArtifacts:
     @pytest.mark.parametrize("name", ["selection_control.csv",
-                                      "selection_treatment.csv",
+                                      "selection_treatment.csv", "model.json",
                                       "loo_report.csv"])
     def test_jobs_do_not_change_results(self, sweeps, name):
-        one, two = ((sweeps / f"jobs{jobs}" / name).read_text().splitlines()
-                    for jobs in (1, 2))
-        assert one[0] != two[0]  # --jobs is part of the config hash
-        assert one[1:] == two[1:]
+        one, two = ((sweeps / f"jobs{jobs}" / name).read_bytes() for jobs in (1, 2))
+        assert one == two  # --jobs is left out of the config hash too
 
     def test_csv_artifacts_start_with_run_comment(self, pipeline, sweeps):
         paths = sorted(pipeline.glob("*.csv")) + sorted(sweeps.rglob("*.csv"))

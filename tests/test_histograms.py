@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import tracemalloc
@@ -145,11 +146,21 @@ class TestHistogram2D:
         np.ones((31, 2)),
         -np.ones((32, 2)),
         np.full((32, 2), 0.5),
+        np.full((32, 2), 2 ** 58),  # fits int64 per cell, but the total does not
     ])
     def test_invalid_counts(self, binning, counts):
         with pytest.raises(ValueError):
             Histogram2D(tumor_id="t1", cohort="control", counts=counts,
                         binning=binning)
+
+    @pytest.mark.parametrize("count", ["2.5", "1" + "0" * 30, "Infinity"],
+                             ids=["fraction", "beyond-int64", "infinite"])
+    def test_json_counts_checked_before_cast(self, binning, count):
+        d = Histogram2D(tumor_id="t1", cohort="control",
+                        counts=np.ones((32, 2)), binning=binning).to_json_dict()
+        text = json.dumps(d).replace("[1, 1]", f"[{count}, 1]", 1)
+        with pytest.raises(ValueError, match="non-negative integers"):
+            Histogram2D.from_json_dict(json.loads(text))
 
     def test_json_roundtrip(self, tmp_path, binning):
         counts = np.arange(64).reshape(32, 2)

@@ -36,22 +36,22 @@ def report():
 
 class TestLeaveOneOut:
     def test_every_control_scored_twice(self, report):
-        rep, control = report
-        assert len(rep.entries) == len(control)
-        for entry, h in zip(rep.entries, control):
+        entries, control = report
+        assert len(entries) == len(control)
+        for entry, h in zip(entries, control):
             assert entry.tumor_id == h.tumor_id
             assert entry.leave_all_in is not None
             assert not entry.failed
             assert entry.leave_one_out is not None
 
     def test_clean_cohort_mostly_unflagged(self, report):
-        rep, _ = report
-        assert len(rep.outlier_flags) <= 1
+        entries, _ = report
+        assert sum(e.outlier for e in entries) <= 1
 
     def test_csv_output(self, report, tmp_path):
-        rep, control = report
+        entries, control = report
         path = tmp_path / "loo.csv"
-        write_csv(path, {"seed": 0, "config_hash": "0"}, loo_table(rep))
+        write_csv(path, {"seed": 0, "config_hash": "0"}, loo_table(entries))
         with open(path, newline="") as fh:
             assert fh.readline() == "# seed=0 config_hash=0\n"
             rows = list(csv.DictReader(fh))
@@ -72,10 +72,11 @@ class TestLeaveOneOut:
 
         monkeypatch.setattr(model, "train_control", train_control)
         opts = TrainOptions(seed=0, restarts=1, max_iter=3000)
-        rep = leave_one_out(control, treated, 1, 1, opts)
-        assert [e.failed for e in rep.entries] == [True, False, False, False]
-        assert "objective decreased" in rep.entries[0].reason
-        assert loo_table(rep)[1][2] == "failed"
+        entries = leave_one_out(control, treated, 1, 1, opts)
+        assert [e.failed for e in entries] == [True, False, False, False]
+        assert "objective decreased" in entries[0].error
+        assert not entries[0].outlier
+        assert loo_table(entries)[1][2] == "failed"
 
     def test_needs_three_controls(self):
         binning = BinningConfig()

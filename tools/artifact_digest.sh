@@ -8,9 +8,10 @@
 # synth --emit-voxels, ingest of the emitted voxels, select --k-max 5,
 # train 3+2 and 3+0, fit of both cohorts, validate, baseline and report.
 # select and validate run once more with --jobs 2 (into select_jobs2 and
-# validate_jobs2), so the digest also covers the process-pool path.
-# Run it on two trees and diff the outputs to compare their artifacts
-# byte for byte. <out-dir> must not exist yet.
+# validate_jobs2), so the digest also covers the process-pool path; the
+# script exits 1 after the digest if those differ from select and validate
+# in any byte. Run it on two trees and diff the outputs to compare their
+# artifacts byte for byte. <out-dir> must not exist yet.
 set -eu
 if [ $# -ne 2 ]; then
     echo "usage: $0 <src-tree> <out-dir>" >&2
@@ -56,4 +57,10 @@ lpm report --model "$out/train_3_2/model.json" \
 cd "$out"
 find . -type f | LC_ALL=C sort | sed 's|^\./||' | while IFS= read -r f; do
     sha256sum "$f"
+done
+for d in select validate; do
+    if ! diff -r "$d" "${d}_jobs2" >/dev/null; then
+        echo "$0: ${d}_jobs2 differs from $d" >&2
+        exit 1
+    fi
 done
