@@ -14,8 +14,9 @@ from functools import partial
 import numpy as np
 
 from .errors import OverParameterisedError, ParameterError, SelectionFailedError
-from .model import (LpmModel, TrainOptions, fit_quantities, map_jobs,
-                    model_expectation, train_control, train_treatment)
+from .model import (LpmModel, TrainOptions, check_jobs, fit_quantities,
+                    map_jobs, model_expectation, train_control,
+                    train_treatment)
 
 SQRT_VARIANCE = 0.25
 # Minimum chi2/dof improvement that justifies another component. Adding a
@@ -93,6 +94,21 @@ def chi2_per_dof(histograms, model: LpmModel, quantities,
     return GoodnessOfFit(raw_chi2=raw, dof=dof, chi2_per_dof=raw / dof)
 
 
+def _first_tie(points):
+    """(point, successor) of the first usable point whose next usable
+    successor improves chi2/dof by no more than TIE_TOLERANCE, or None.
+
+    Usable points are the converged, non-degenerate ones. The usable points
+    of a prefix of a sweep are a prefix of the sweep's usable points, so a
+    tie found in a prefix is the whole sweep's first tie.
+    """
+    usable = [p for p in points if p.converged and not p.degenerate]
+    for p, successor in zip(usable, usable[1:]):
+        if p.chi2_per_dof - successor.chi2_per_dof <= TIE_TOLERANCE:
+            return p, successor
+    return None
+
+
 def choose_component_count(points) -> int:
     """Pick the component count where the statistic stops improving.
 
@@ -103,10 +119,8 @@ def choose_component_count(points) -> int:
     usable = [p for p in points if p.converged and not p.degenerate]
     if not usable:
         raise SelectionFailedError("all candidate models degenerate or unconverged")
-    for i, p in enumerate(usable[:-1]):
-        if p.chi2_per_dof - usable[i + 1].chi2_per_dof <= TIE_TOLERANCE:
-            return p.n_components
-    return usable[-1].n_components
+    tie = _first_tie(usable)
+    return (tie[0] if tie else usable[-1]).n_components
 
 
 def _train_candidate(cohort, base_model, opts, k):
@@ -139,7 +153,11 @@ def select_components(cohort, base_model, k_min: int, k_max: int,
 
     With base_model None, k counts control components. Otherwise k counts
     all components: base_model's control ones plus the treatment ones
-    trained on them (so k starts above base_model.n_control). Returns
+    trained on them (so k starts above base_model.n_control). Candidates
+    are trained in ascending K, jobs at a time, until choose_component_count
+    is decided. The curve holds the candidates from k_min through the one
+    that decided it, or through k_max if none did; at most jobs - 1
+    candidates past that one are trained and dropped. Returns
     (SelectionCurve, best TrainResult).
     """
     phase = "control" if base_model is None else "treatment"
@@ -148,8 +166,18 @@ def select_components(cohort, base_model, k_min: int, k_max: int,
         raise ParameterError(f"k_min must be >= {floor} for phase {phase}, got {k_min}")
     if k_max <= k_min:
         raise ParameterError(f"need k_max > k_min, got [{k_min}, {k_max}]")
-    outcomes = map_jobs(partial(_train_candidate, list(cohort), base_model, opts),
-                        range(k_min, k_max + 1), jobs)
+    check_jobs(jobs)
+    train = partial(_train_candidate, list(cohort), base_model, opts)
+    ks = range(k_min, k_max + 1)
+    outcomes = []
+    # each candidate's training depends on its own K only, so the curve cut
+    # at the deciding candidate, and the best model, are the same at any jobs
+    for start in range(0, len(ks), jobs):
+        outcomes += map_jobs(train, ks[start:start + jobs], jobs)
+        tie = _first_tie([point for point, _ in outcomes])
+        if tie:
+            outcomes = outcomes[:tie[1].n_components - k_min + 1]
+            break
     points = [point for point, _ in outcomes]
     chosen = choose_component_count(points)
     return (SelectionCurve(points=points, phase=phase, chosen=chosen),

@@ -14,7 +14,7 @@ from functools import partial
 
 from .errors import EmptyInputError, LpmError
 from .inference import ResponseResult, fit_and_score
-from .model import TrainOptions, map_jobs, train_model
+from .model import TrainOptions, check_jobs, map_jobs, train_model
 
 OUTLIER_Z = 2.0
 
@@ -56,6 +56,7 @@ def leave_one_out(control_cohort, treated_cohort, n_control: int,
 
     Returns one LooEntry per control tumor, in cohort order.
     """
+    check_jobs(jobs)
     control_cohort = list(control_cohort)
     treated_cohort = list(treated_cohort)
     if len(control_cohort) < 3:

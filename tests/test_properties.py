@@ -1,5 +1,5 @@
 """Property tests for the EM solver, the quantity covariance, the model's
-JSON form and CSV ingest.
+JSON form, the selection sweep's early stop and CSV ingest.
 
 One routine, ``model._em``, runs both training phases and every per-tumor
 quantity fit; these properties hold for any trainable mask, including the
@@ -8,6 +8,8 @@ multiplicative steps would, or higher, and respect the map cap exactly.
 Histograms expanded into voxel or signal CSV files bin back to the same
 counts, whatever the loaders' chunk size, and both loaders return what a
 row-by-row csv.reader reference returns, whichever way a file is split.
+A selection sweep that stops once its stopping rule is decided picks what
+the rule picks on every candidate.
 """
 
 import csv
@@ -21,16 +23,18 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpm import histograms, model
-from lpm.errors import DegenerateDesignError
+from lpm import histograms, model, selection
+from lpm.errors import DegenerateDesignError, SelectionFailedError
 from lpm.histograms import (COHORTS, BinningConfig, Histogram2D, bin_voxels,
                             load_signal_csv, load_voxel_csv, write_voxel_csv)
 from lpm.inference import quantity_covariance
 from lpm.model import LpmModel, _em
-from lpm.selection import GoodnessOfFit
+from lpm.selection import (GoodnessOfFit, SelectionPoint, choose_component_count,
+                           select_components)
 from lpm.synth import histogram_to_voxels
 
 MAX_ITER = 300
@@ -247,6 +251,50 @@ def test_model_json_roundtrip_bitwise(n_bins, n_control, n_treatment, alpha, see
     assert np.array_equal(back.P, model.P)
     assert (back.n_control, back.n_treatment) == (n_control, n_treatment)
     assert json.dumps(back.to_json_dict(), indent=1, sort_keys=True) == text
+
+
+# ---------------------------------------------------------------------------
+# the selection sweep's early stop
+
+@st.composite
+def sweep_points(draw):
+    """Candidates K = 1, 2, ... with random chi2/dof (nan included) and flags."""
+    chi2 = st.one_of(st.just(math.nan), st.floats(0.0, 10.0))
+    return [SelectionPoint(n_components=k, chi2_per_dof=draw(chi2),
+                           degenerate=draw(st.sampled_from([False, False, True])),
+                           converged=draw(st.sampled_from([True, True, False])))
+            for k in range(1, draw(st.integers(2, 8)) + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_points(), st.integers(1, 3))
+def test_sweep_stops_where_the_rule_is_decided(points, jobs):
+    trained = []
+
+    def train(cohort, base_model, opts, k):
+        trained.append(k)
+        return points[k - 1], k
+
+    def serial(fn, tasks, jobs):
+        return [fn(t) for t in tasks]
+
+    usable = [p.n_components for p in points if p.converged and not p.degenerate]
+    with mock.patch.object(selection, "_train_candidate", train), \
+            mock.patch.object(selection, "map_jobs", serial):
+        if not usable:
+            with pytest.raises(SelectionFailedError):
+                choose_component_count(points)
+            with pytest.raises(SelectionFailedError):
+                select_components([], None, 1, len(points), jobs=jobs)
+            return
+        curve, best = select_components([], None, 1, len(points), jobs=jobs)
+    chosen = choose_component_count(points)
+    successors = [k for k in usable if k > chosen]
+    stop = successors[0] if successors else len(points)
+    assert curve.chosen == best == chosen
+    assert curve.points == points[:stop]
+    assert trained == list(range(1, len(trained) + 1))
+    assert stop <= len(trained) <= min(stop + jobs - 1, len(points))
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,31 @@ class TestSelectComponents:
         assert starts.count(False) == starts.count(True) == 2 * len(treated)
         assert best.quantities.shape == (len(treated), curve.chosen)
 
+    def test_sweep_stops_where_rule_decides(self, monkeypatch):
+        # easy_sweep's K = 2 ties with K = 3, so K = 4 and 5 are never read
+        real = selection.train_control
+        trained = []
+
+        def train_control(cohort, k, opts):
+            trained.append(k)
+            return real(cohort, k, opts)
+
+        monkeypatch.setattr(selection, "train_control", train_control)
+        opts = TrainOptions(seed=11, restarts=2, max_iter=5000)
+        curve, best = select_components(_easy_cohort(), None, 1, 5, opts)
+        assert trained == [1, 2, 3]
+        assert [p.n_components for p in curve.points] == [1, 2, 3]
+        assert curve.chosen == 2 and best.model.n_control == 2
+
+    def test_jobs_do_not_change_stopped_sweep(self):
+        # jobs=2 trains K = 4 alongside K = 3 and drops it
+        opts = TrainOptions(seed=11, restarts=2, max_iter=5000)
+        (c1, b1), (c2, b2) = (select_components(_easy_cohort(), None, 1, 5, opts, jobs)
+                              for jobs in (1, 2))
+        assert c1 == c2
+        assert [p.n_components for p in c2.points] == [1, 2, 3]
+        assert np.array_equal(b1.model.P, b2.model.P)
+
     def test_bad_sweep_bounds(self):
         with pytest.raises(ValueError):
             select_components([], None, 3, 2)

@@ -3,9 +3,9 @@ import csv
 import pytest
 
 from conftest import em_from_outside_the_cone
-from lpm import model
+from lpm import model, validation
 from lpm.cli import write_csv
-from lpm.errors import EmptyInputError, LpmError
+from lpm.errors import EmptyInputError, LpmError, ParameterError
 from lpm.histograms import BinningConfig
 from lpm.model import TrainOptions
 from lpm.synth import SynthSpec, bump_pmf, generate, spread_components
@@ -106,3 +106,17 @@ class TestLeaveOneOut:
         control, treated, _ = generate(spec)
         with pytest.raises(LpmError, match="n_treatment"):
             leave_one_out(control, treated, 1, 0)
+
+    def test_jobs_below_one_rejected_before_training(self, monkeypatch):
+        real = validation.train_model
+        calls = []
+
+        def train_model(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(validation, "train_model", train_model)
+        control, treated = _cohorts()
+        with pytest.raises(ParameterError, match="jobs must be >= 1"):
+            leave_one_out(control, treated, 1, 1, jobs=0)
+        assert calls == []
