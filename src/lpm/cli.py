@@ -27,7 +27,7 @@ from pathlib import Path
 from .errors import AnalysisError, InputFormatError, LpmError
 from .histograms import (COHORTS, BinningConfig, Histogram2D, bin_voxels,
                          load_signal_csv, load_voxel_csv,
-                         write_histogram_json, write_voxel_csv)
+                         write_histogram_json, write_json, write_voxel_csv)
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
@@ -58,14 +58,6 @@ def write_csv(path: Path, meta: dict, table):
     with open(path, "w", newline="") as fh:
         fh.write(f"# seed={meta['seed']} config_hash={meta['config_hash']}\n")
         csv.writer(fh, lineterminator="\n").writerows(table)
-
-
-def _write_json(path: Path, payload: dict, meta: dict):
-    payload = dict(payload)
-    payload["run"] = meta
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def _load_cohorts(directory) -> dict:
@@ -130,13 +122,13 @@ def cmd_ingest(args, out: Path, meta: dict) -> int:
     hists = bin_voxels(loaded.records, config)
     hist_dir = out / "histograms"
     hist_dir.mkdir(exist_ok=True)
-    summary = {"tumors": {}, "rejected_rows": [
+    summary = {"run": meta, "tumors": {}, "rejected_rows": [
         {"line": line, "message": msg} for line, msg in loaded.errors]}
     for tumor_id, h in hists.items():
         write_histogram_json(hist_dir / f"{tumor_id}.json", h)
         summary["tumors"][tumor_id] = {"voxels": h.total, "overflow": h.overflow,
                                        "warnings": list(h.warnings)}
-    _write_json(out / "ingest_summary.json", summary, meta)
+    write_json(out / "ingest_summary.json", summary)
     print(f"ingested {len(hists)} tumors, {len(loaded.errors)} rejected rows")
     return EXIT_OK
 
@@ -154,12 +146,13 @@ def cmd_synth(args, out: Path, meta: dict) -> int:
     hist_dir.mkdir(exist_ok=True)
     for h in control + treated:
         write_histogram_json(hist_dir / f"{h.tumor_id}.json", h)
-    _write_json(out / "ground_truth.json", {
+    write_json(out / "ground_truth.json", {
+        "run": meta,
         "quantities": {k: v.tolist() for k, v in truth.quantities.items()},
         "effect_fractions": truth.effect_fractions,
         "n_control_components": truth.n_control_components,
         "n_treatment_components": truth.n_treatment_components,
-    }, meta)
+    })
     if args.emit_voxels:
         write_voxel_csv(out / "voxels.csv",
                         chain.from_iterable(map(histogram_to_voxels, control + treated)))

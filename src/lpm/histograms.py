@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import itemgetter
@@ -53,19 +54,31 @@ class BinningConfig:
     n_adc_bins: int = 32
 
     def __post_init__(self):
+        # bool is an int, and JSON may hold a bound as a string or a count
+        # as a float; each would pass the range checks and fail later
+        for name in ("adc_min", "adc_max"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ParameterError(f"{name} must be a finite number, got {value!r}")
+        if (isinstance(self.n_adc_bins, bool)
+                or not isinstance(self.n_adc_bins, numbers.Integral)):
+            raise ParameterError(f"n_adc_bins must be an integer, "
+                                 f"got {self.n_adc_bins!r}")
         if not (self.adc_min < self.adc_max):
             raise ParameterError(f"adc_min must be < adc_max, "
                                  f"got [{self.adc_min}, {self.adc_max}]")
         if self.n_adc_bins < 2:
             raise ParameterError(f"n_adc_bins must be >= 2, got {self.n_adc_bins}")
+        # finite bounds can still span more than a float holds, or a range
+        # too narrow to split, and binning would divide by an inf or 0 width
+        if not 0 < self.width < math.inf:
+            raise ParameterError(f"[{self.adc_min}, {self.adc_max}] in "
+                                 f"{self.n_adc_bins} bins gives bin width {self.width}")
 
     @property
     def width(self) -> float:
         return (self.adc_max - self.adc_min) / self.n_adc_bins
-
-    @property
-    def edges(self) -> np.ndarray:
-        return np.linspace(self.adc_min, self.adc_max, self.n_adc_bins + 1)
 
     @property
     def centers(self) -> np.ndarray:
@@ -598,10 +611,16 @@ def load_signal_csv(path) -> VoxelLoadResult:
     return VoxelLoadResult(records=table, errors=errors)
 
 
-def write_histogram_json(path, h: Histogram2D):
+def write_json(path, payload):
+    """Write payload as JSON artifacts are written: keys sorted, one-space
+    indents and a final newline."""
     with open(path, "w") as fh:
-        json.dump(h.to_json_dict(), fh, indent=1, sort_keys=True)
+        json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def write_histogram_json(path, h: Histogram2D):
+    write_json(path, h.to_json_dict())
 
 
 def read_histogram_json(path) -> Histogram2D:

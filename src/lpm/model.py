@@ -30,10 +30,13 @@ stabilises the jump, which is kept only if its objective is at least
 theta2's; otherwise, or when every shortened jump also left the cone, the
 cycle ends at theta2. step_max starts at 1, grows 4x when |r|/|v| reaches
 it and the jump was taken at full length, stays put when a shortened jump
-is kept, and shrinks 4x (not below 1) after a rejection. The convergence,
-decrease and collapse checks run once per cycle against the last accepted
+is kept, and shrinks 4x (not below 1) after a rejection. The convergence
+and decrease checks run once per cycle against the last accepted
 objective. Iterations count maps, 2 or 3 per cycle; max_iter caps them,
 and fewer than 3 left are spent as plain steps.
+
+Both training phases learn new PMF columns beside frozen ones (none for the
+control phase) through one restart loop, _train_phase.
 """
 
 from __future__ import annotations
@@ -45,11 +48,11 @@ import numpy as np
 
 from .errors import (AnalysisError, BinningMismatchError, EmptyInputError,
                      InputFormatError, ParameterError)
-from .histograms import BinningConfig, Histogram2D
+from .histograms import BinningConfig, Histogram2D, write_json
 
 _M_FLOOR = 1e-300
 _DEGENERACY_FRACTION = 1e-6  # of total counts, per trainable component
-_STEP_MAX0 = 1.0  # SQUAREM's step_max at the start and after a re-seed
+_STEP_MAX0 = 1.0  # SQUAREM's step_max at the start of a fit
 _BACKTRACKS = 5  # times s - 1 is halved when a SQUAREM jump leaves the cone
 
 
@@ -173,9 +176,7 @@ class TrainResult:
 
 
 def write_model_json(path, model: LpmModel):
-    with open(path, "w") as fh:
-        json.dump(model.to_json_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, model.to_json_dict())
 
 
 def read_model_json(path) -> LpmModel:
@@ -189,16 +190,18 @@ def read_model_json(path) -> LpmModel:
         raise InputFormatError(f"{path}: malformed model: {exc}") from None
 
 
-def _em(H, P, Q, trainable, max_iter, tol, rng=None):
+def _em(H, P, Q, trainable, max_iter, tol):
     """Run SQUAREM-accelerated multiplicative EM to convergence.
 
     H: (S, n_cells) counts; P: (n_cells, K) column-normalised PMFs; Q: (S, K)
     quantities; trainable: boolean mask over components whose PMF columns
     may move (none for a quantity-only fit). Frozen columns are never
-    written. With rng, trainable components that collapse are re-seeded
-    once. The objective is the extended likelihood sum H*ln(M) - sum Q,
+    written. The objective is the extended likelihood sum H*ln(M) - sum Q,
     taken from the expectation M = Q @ P.T that the next Q-step reuses.
-    max_iter caps the number of multiplicative maps. Returns (P, Q,
+    max_iter caps the number of multiplicative maps. A fit that converges
+    with a trainable component whose total quantity is below
+    _DEGENERACY_FRACTION of the counts is degenerate: the multiplicative
+    updates only shrink an unused component towards 0. Returns (P, Q,
     diagnostics).
     """
     H = np.asarray(H, dtype=float)
@@ -271,7 +274,6 @@ def _em(H, P, Q, trainable, max_iter, tol, rng=None):
     prev = objective(Q, M)
     step_max = _STEP_MAX0
     converged = False
-    reseeded = set()
     degenerate = False
     it = 0
     while it < max_iter:
@@ -302,34 +304,12 @@ def _em(H, P, Q, trainable, max_iter, tol, rng=None):
                 step_max = max(1.0, step_max / 4.0)
         if cur < prev - 1e-6 * max(1.0, abs(prev)):
             raise AnalysisError(f"EM objective decreased: {prev} -> {cur}")
-        if abs(cur - prev) <= tol * max(1.0, abs(prev)):
-            # check trainable components for collapse before accepting
-            mass = Q.sum(axis=0)
-            weak = [k for k in train_cols
-                    if mass[k] < _DEGENERACY_FRACTION * total_counts]
-            if weak and rng is not None and not reseeded.issuperset(weak):
-                for k in weak:
-                    if k in reseeded:
-                        degenerate = True
-                        continue
-                    reseeded.add(k)
-                    # re-seed from residual-weighted draw
-                    resid = np.maximum(H - M, 0).sum(axis=0)
-                    if resid.sum() <= 0:
-                        resid = np.ones(P.shape[0])
-                    probs = resid / resid.sum()
-                    P[:, k] = rng.dirichlet(probs * P.shape[0] + 0.5)
-                    Q[:, k] = H.sum(axis=1) / P.shape[1]
-                    M = expectation(P, Q)
-                prev = objective(Q, M)
-                step_max = _STEP_MAX0
-                continue
-            if weak:
-                degenerate = True
-            converged = True
-            prev = cur
-            break
+        converged = abs(cur - prev) <= tol * max(1.0, abs(prev))
         prev = cur
+        if converged:
+            mass = Q.sum(axis=0).take(train_cols)
+            degenerate = bool(np.any(mass < _DEGENERACY_FRACTION * total_counts))
+            break
     diag = FitDiagnostics(log_likelihood=prev, n_iterations=it,
                           converged=converged, degenerate=degenerate)
     return P, Q, diag
@@ -350,18 +330,34 @@ def _stack(cohort, binning):
     return H
 
 
-def _best_restart(H, k_total, init_P, opts):
-    """Run opts.restarts EM fits from random inits, keep the best likelihood."""
+def _train_phase(H, P_frozen, n_new, draw_column, opts):
+    """Learn n_new PMF columns beside the frozen columns of P_frozen.
+
+    Restart r seeds default_rng(opts.seed + r), draws the new columns in
+    order with draw_column(rng), starts every histogram's quantities at the
+    uniform split of its counts and runs _em; the restart with the strictly
+    best log-likelihood wins. Returns its (P, Q, diagnostics).
+    """
+    k_total = P_frozen.shape[1] + n_new
+    trainable = np.arange(k_total) >= P_frozen.shape[1]
     best = None
     for r in range(opts.restarts):
         rng = np.random.default_rng(opts.seed + r)
-        P, trainable = init_P(rng)
-        Q = np.full((H.shape[0], k_total), 1.0, dtype=float)
+        P = np.column_stack([P_frozen] + [draw_column(rng) for _ in range(n_new)])
+        Q = np.full((H.shape[0], k_total), 1.0)
         Q *= (H.sum(axis=1) / k_total)[:, None]
-        P, Q, diag = _em(H, P, Q, trainable, opts.max_iter, opts.tol, rng)
-        if best is None or diag.log_likelihood > best[2].log_likelihood:
-            best = (P, Q, diag)
+        fit = _em(H, P, Q, trainable, opts.max_iter, opts.tol)
+        if best is None or fit[2].log_likelihood > best[2].log_likelihood:
+            best = fit
     return best
+
+
+def _training_meta(opts, diag, prefix):
+    """training_meta's six keys for one phase's fit, each name prefixed."""
+    return {prefix + key: value for key, value in (
+        ("seed", opts.seed), ("restarts", opts.restarts),
+        ("iterations", diag.n_iterations), ("final_loglik", diag.log_likelihood),
+        ("converged", diag.converged), ("degenerate", diag.degenerate))}
 
 
 def train_control(cohort, n_control: int, opts: TrainOptions = TrainOptions()) -> TrainResult:
@@ -372,18 +368,10 @@ def train_control(cohort, n_control: int, opts: TrainOptions = TrainOptions()) -
         raise ParameterError(f"n_control must be >= 1, got {n_control}")
     binning = cohort[0].binning
     H = _stack(cohort, binning)
-    n_cells = binning.n_cells
-
-    def init_P(rng):
-        P = np.column_stack([rng.dirichlet(np.ones(n_cells))
-                             for _ in range(n_control)])
-        return P, np.ones(n_control, dtype=bool)
-
-    P, Q, diag = _best_restart(H, n_control, init_P, opts)
-    meta = {"seed": opts.seed, "restarts": opts.restarts,
-            "iterations": diag.n_iterations, "final_loglik": diag.log_likelihood,
-            "converged": diag.converged, "degenerate": diag.degenerate,
-            "phase": "control"}
+    ones = np.ones(binning.n_cells)
+    P, Q, diag = _train_phase(H, np.empty((binning.n_cells, 0)), n_control,
+                              lambda rng: rng.dirichlet(ones), opts)
+    meta = _training_meta(opts, diag, "") | {"phase": "control"}
     model = LpmModel(P=P, n_control=n_control, binning=binning,
                      training_meta=meta)
     return TrainResult(model=model, quantities=Q, diagnostics=diag)
@@ -479,7 +467,6 @@ def train_treatment(control_model: LpmModel, cohort, n_treatment: int,
     H = _stack(cohort, binning)
     n_cells = binning.n_cells
     n_control = control_model.n_control
-    k_total = n_control + n_treatment
     P_control = control_model.P
 
     # Treatment components describe variability the control model cannot
@@ -494,26 +481,15 @@ def train_treatment(control_model: LpmModel, cohort, n_treatment: int,
         residual = np.ones(n_cells)
     residual = residual / residual.sum()
 
-    def init_P(rng):
-        P = np.empty((n_cells, k_total))
-        P[:, :n_control] = P_control
-        for k in range(n_control, k_total):
-            jitter = rng.gamma(4.0, size=n_cells)
-            p = residual * jitter
-            P[:, k] = p / p.sum()
-        trainable = np.zeros(k_total, dtype=bool)
-        trainable[n_control:] = True
-        return P, trainable
+    def draw_column(rng):
+        p = residual * rng.gamma(4.0, size=n_cells)
+        return p / p.sum()
 
-    P, Q, diag = _best_restart(H, k_total, init_P, opts)
+    P, Q, diag = _train_phase(H, P_control, n_treatment, draw_column, opts)
     if not np.array_equal(P[:, :n_control], P_control):
         raise AnalysisError("control components changed during treatment training")
-    meta = dict(control_model.training_meta)
-    meta.update({"treatment_seed": opts.seed, "treatment_restarts": opts.restarts,
-                 "treatment_iterations": diag.n_iterations,
-                 "treatment_final_loglik": diag.log_likelihood,
-                 "treatment_converged": diag.converged,
-                 "treatment_degenerate": diag.degenerate, "phase": "full"})
+    meta = (control_model.training_meta | _training_meta(opts, diag, "treatment_")
+            | {"phase": "full"})
     model = LpmModel(P=_purify_treatment(P, n_control), n_control=n_control,
                      binning=binning, training_meta=meta)
     return TrainResult(model=model, quantities=Q, diagnostics=diag)

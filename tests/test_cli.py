@@ -124,6 +124,26 @@ class TestHistogramDirectory:
                     "--out-dir", tmp_path]) == 2
         assert "trt01.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "baseline"])
+    @pytest.mark.parametrize("binning", [
+        {"adc_min": "0.0", "adc_max": "0.003"}, {"n_adc_bins": 32.0},
+        {"n_adc_bins": True}, {"adc_max": float("inf")}],
+        ids=["string-bounds", "float-bins", "bool-bins", "infinite-bound"])
+    def test_malformed_binning_is_input_error(self, pipeline, tmp_path, capsys,
+                                              command, binning):
+        hist_dir = shutil.copytree(pipeline / "histograms", tmp_path / "h")
+        for path in hist_dir.glob("*.json"):
+            d = json.loads(path.read_text())
+            if "counts" in d:
+                d["binning"].update(binning)
+                path.write_text(json.dumps(d))
+        extra = ["--n-control", "1"] + FAST if command == "train" else []
+        assert run([command, "--histograms", hist_dir,
+                    "--out-dir", tmp_path / "out"] + extra) == 2
+        err = capsys.readouterr().err
+        assert "malformed histogram" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "model.json").exists()
+
 
 class TestModelFile:
     def test_reversed_components_is_input_error(self, pipeline, tmp_path,
@@ -135,6 +155,16 @@ class TestModelFile:
         assert run(["fit", "--model", path, "--histograms",
                     pipeline / "histograms", "--out-dir", tmp_path]) == 2
         assert str(path) in capsys.readouterr().err
+
+    def test_float_bin_count_is_input_error(self, pipeline, tmp_path, capsys):
+        model = json.loads((pipeline / "model.json").read_text())
+        model["binning"]["n_adc_bins"] = float(model["binning"]["n_adc_bins"])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        assert run(["fit", "--model", path, "--histograms",
+                    pipeline / "histograms", "--out-dir", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "n_adc_bins" in err
 
     def test_truncated_model_is_input_error(self, pipeline, tmp_path, capsys):
         path = tmp_path / "model.json"

@@ -8,7 +8,7 @@ import pytest
 
 from lpm import histograms
 from lpm.errors import (DegenerateDesignError, EmptyInputError,
-                        InputFormatError)
+                        InputFormatError, ParameterError)
 from lpm.histograms import (COHORTS, TIMEPOINTS, BinningConfig, Histogram2D,
                             VoxelTable, bin_voxels, fit_adc, load_signal_csv,
                             load_voxel_csv, read_histogram_json,
@@ -32,10 +32,7 @@ class TestBinningConfig:
         assert binning.n_adc_bins == 32
         assert binning.n_cells == 64
 
-    def test_edges_and_centers(self, binning):
-        assert len(binning.edges) == 33
-        assert binning.edges[0] == 0.0
-        assert binning.edges[-1] == pytest.approx(3.0e-3)
+    def test_centers(self, binning):
         assert binning.centers[0] == pytest.approx(binning.width / 2)
         assert np.all(np.diff(binning.centers) > 0)
 
@@ -57,6 +54,14 @@ class TestBinningConfig:
             BinningConfig(adc_min=1.0, adc_max=1.0)
         with pytest.raises(ValueError):
             BinningConfig(n_adc_bins=1)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"adc_min": "0.0"}, {"adc_max": float("nan")}, {"adc_max": float("inf")},
+        {"adc_min": False}, {"n_adc_bins": 32.0}, {"n_adc_bins": True},
+        {"adc_min": -1e308, "adc_max": 1e308}, {"adc_max": 5e-324}])
+    def test_bounds_bin_count_and_width_checked(self, kwargs):
+        with pytest.raises(ParameterError):
+            BinningConfig(**kwargs)
 
     def test_json_roundtrip(self, binning):
         assert BinningConfig.from_json_dict(binning.to_json_dict()) == binning

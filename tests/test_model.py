@@ -133,6 +133,25 @@ class TestEm:
         with pytest.raises(AnalysisError, match="objective decreased"):
             em_from_outside_the_cone()
 
+    def test_collapsed_component_marks_the_fit_degenerate(self):
+        # a column with no quantity in any row never regains any
+        rng = np.random.default_rng(4)
+        P0 = dirichlet_columns(rng, 12, 3)
+        H = rng.poisson(np.array([[500.0, 300.0, 200.0],
+                                  [100.0, 600.0, 300.0]]) @ P0.T).astype(float)
+        Q0 = np.full((2, 3), 300.0)
+        Q0[:, 2] = 0.0
+        trainable = np.array([False, True, True])
+        P, Q, diag = model_module._em(H, P0.copy(), Q0, trainable, 10000, 1e-9)
+        assert diag.converged and diag.degenerate
+        assert np.array_equal(P[:, 0], P0[:, 0])
+        assert np.all(Q[:, 2] == 0.0)
+        # the same start with every column frozen is a quantity fit
+        P, Q, diag = model_module._em(H, P0.copy(), Q0, np.zeros(3, dtype=bool),
+                                      10000, 1e-9)
+        assert diag.converged and not diag.degenerate
+        assert np.array_equal(P, P0)
+
 
 def dirichlet_columns(rng, m, n):
     """(m, n) matrix of random PMF columns, like a model's control block."""

@@ -8,10 +8,12 @@ from lpm import model as model_module
 from lpm import selection
 from lpm.cli import write_csv
 from lpm.errors import OverParameterisedError, SelectionFailedError
+from lpm.histograms import BinningConfig, Histogram2D
 from lpm.model import TrainOptions, fit_quantities, train_control
 from lpm.selection import (SQRT_VARIANCE, SelectionPoint, chi2_per_dof,
                            chi2_statistic, choose_component_count,
                            select_components, selection_table)
+from lpm.svgplots import selection_curve_svg
 
 
 class TestChi2Statistic:
@@ -238,6 +240,22 @@ class TestSelectComponents:
         assert c1 == c2
         assert [p.n_components for p in c2.points] == [1, 2, 3]
         assert np.array_equal(b1.model.P, b2.model.P)
+
+    def test_over_parameterised_candidates_recorded_not_chosen(self):
+        # 4 cells x 3 tumors: K = 1 leaves 6 dof, K = 2 and 3 none at all
+        binning = BinningConfig(n_adc_bins=2)
+        rng = np.random.default_rng(0)
+        cohort = [Histogram2D(tumor_id=f"c{i}", cohort="control",
+                              counts=rng.poisson(500.0, size=(2, 2)), binning=binning)
+                  for i in range(3)]
+        curve, best = select_components(cohort, None, 1, 3)
+        rows = selection_table(curve)[1:]
+        assert [(r[1], r[3], r[4]) for r in rows] == [(1, 0, 1), (2, 1, 0), (3, 1, 0)]
+        assert [r[2] for r in rows[1:]] == ["nan", "nan"]
+        assert curve.chosen == 1 and best.model.n_control == 1
+        svg = selection_curve_svg(curve)
+        assert svg.startswith("<svg") and "nan" not in svg.lower()
+        assert ">degenerate</text>" in svg
 
     def test_bad_sweep_bounds(self):
         with pytest.raises(ValueError):
