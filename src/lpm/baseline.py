@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVarianceError, EmptyInputError, UndefinedSummaryError
+from .errors import InputError
 from .histograms import Histogram2D
 
 # the per-tumor changes, in the order summary_change returns them
@@ -56,7 +56,7 @@ def summarise(h: Histogram2D) -> TimepointSummary:
         col = h.counts[:, t].astype(float)
         total = col.sum()
         if total == 0:
-            raise UndefinedSummaryError(f"tumor {h.tumor_id}: no counts at timepoint {t}")
+            raise InputError(f"tumor {h.tumor_id}: no counts at timepoint {t}")
         volumes.append(float(total))
         means.append(float(np.dot(col, centers) / total))
         iqrs.append(_binned_quantile(col, centers, 0.75)
@@ -77,11 +77,11 @@ def welch_t_test(control_changes, treated_changes) -> TTestResult:
     a = np.asarray(control_changes, dtype=float)
     b = np.asarray(treated_changes, dtype=float)
     if len(a) < 2 or len(b) < 2:
-        raise EmptyInputError("each sample needs at least 2 values")
+        raise InputError("each sample needs at least 2 values")
     va = a.var(ddof=1)
     vb = b.var(ddof=1)
     if va == 0 and vb == 0:
-        raise DegenerateVarianceError("both samples have zero variance")
+        raise InputError("both samples have zero variance")
     sa = va / len(a)
     sb = vb / len(b)
     stat = (b.mean() - a.mean()) / math.sqrt(sa + sb)
@@ -107,7 +107,7 @@ def t_test_p_and_z(stat, dof):
 def combine_tests(zs) -> float:
     """Root-sum-square combination of independent evidences of change."""
     if not zs:
-        raise EmptyInputError("no test results to combine")
+        raise InputError("no test results to combine")
     return float(math.sqrt(sum(z * z for z in zs)))
 
 
@@ -117,7 +117,7 @@ def cohort_baseline(control, treated):
     Returns ({measure: TTestResult}, combined_z).
     """
     if not control or not treated:
-        raise EmptyInputError("need both control and treated histograms")
+        raise InputError("need both control and treated histograms")
     control = np.array([summary_change(h) for h in control])
     treated = np.array([summary_change(h) for h in treated])
     tests = {measure: welch_t_test(control[:, j], treated[:, j])

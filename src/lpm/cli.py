@@ -24,7 +24,7 @@ import sys
 from itertools import chain
 from pathlib import Path
 
-from .errors import AnalysisError, InputFormatError, LpmError
+from .errors import AnalysisError, InputError
 from .histograms import (COHORTS, BinningConfig, Histogram2D, bin_voxels,
                          load_signal_csv, load_voxel_csv,
                          write_histogram_json, write_json, write_voxel_csv)
@@ -74,24 +74,24 @@ def _load_cohorts(directory) -> dict:
             with open(p) as fh:
                 d = json.load(fh)
         except ValueError as exc:
-            raise InputFormatError(f"{p}: not valid JSON: {exc}") from None
+            raise InputError(f"{p}: not valid JSON: {exc}") from None
         if not isinstance(d, dict) or "counts" not in d:
             continue
         try:
             h = Histogram2D.from_json_dict(d)
         except KeyError as exc:
-            raise InputFormatError(f"{p}: histogram lacks key {exc}") from None
+            raise InputError(f"{p}: histogram lacks key {exc}") from None
         except (ValueError, TypeError) as exc:
-            raise InputFormatError(f"{p}: malformed histogram: {exc}") from None
+            raise InputError(f"{p}: malformed histogram: {exc}") from None
         if h.cohort not in cohorts:
-            raise InputFormatError(f"{p}: cohort {h.cohort!r} is not one of {COHORTS}")
+            raise InputError(f"{p}: cohort {h.cohort!r} is not one of {COHORTS}")
         if h.tumor_id in files:
-            raise InputFormatError(f"{files[h.tumor_id]} and {p} both hold "
-                                   f"tumor {h.tumor_id!r}")
+            raise InputError(f"{files[h.tumor_id]} and {p} both hold "
+                             f"tumor {h.tumor_id!r}")
         files[h.tumor_id] = p
         cohorts[h.cohort].append(h)
     if not files:
-        raise InputFormatError(f"no histogram JSON files in {directory}")
+        raise InputError(f"no histogram JSON files in {directory}")
     return cohorts
 
 
@@ -108,7 +108,7 @@ def _train_options(args):
 
 def cmd_ingest(args, out: Path, meta: dict) -> int:
     if bool(args.voxels) == bool(args.signals):
-        raise InputFormatError("ingest needs exactly one of --voxels and --signals")
+        raise InputError("ingest needs exactly one of --voxels and --signals")
     config = _binning_from_args(args)
     if args.signals:
         loaded = load_signal_csv(args.signals)
@@ -278,7 +278,9 @@ def cmd_report(args, out: Path, meta: dict) -> int:
     failed = []  # tumors fit could not score
     combined_z = None
     with open(args.response, newline="") as fh:
-        rows = [r for r in fh if not r.startswith("#")]
+        rows = fh.readlines()
+    if rows and rows[0].startswith("#"):  # the run comment; a tumor id may start with #
+        del rows[0]
     try:
         for row in csv.DictReader(rows):
             if row["z"] == "failed":
@@ -291,8 +293,8 @@ def cmd_report(args, out: Path, meta: dict) -> int:
             results.append(ResponseResult(tumor_id=row["tumor_id"], **{
                 c: float(row[c]) for c in RESPONSE_COLUMNS[1:]}))
     except (KeyError, ValueError, TypeError) as exc:
-        raise InputFormatError(f"{args.response}: malformed response CSV: "
-                               f"{exc!r}") from None
+        raise InputError(f"{args.response}: malformed response CSV: "
+                         f"{exc!r}") from None
     (out / "effect_bars.svg").write_text(
         svgplots.effect_bar_svg(results, "Treatment volume per tumor"))
     (out / "components.svg").write_text(svgplots.pmf_heatstrip_svg(model))
@@ -330,7 +332,7 @@ def _parse_args(parser, argv):
             if not raw or raw.startswith("#"):
                 continue
             if "=" not in raw:
-                raise InputFormatError(f"bad config line: {raw!r}")
+                raise InputError(f"bad config line: {raw!r}")
             key, value = (part.strip() for part in raw.split("=", 1))
             dest = key.replace("-", "_")
             if dest in ("command", "func", "config") or not hasattr(args, dest):
@@ -430,7 +432,7 @@ def main(argv=None) -> int:
     except AnalysisError as exc:
         print(f"analysis failed: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
-    except (LpmError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -26,8 +26,7 @@ from operator import itemgetter
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (DegenerateDesignError, EmptyInputError, InputFormatError,
-                     ParameterError)
+from .errors import InputError
 
 COHORTS = ("control", "treated")
 TIMEPOINTS = ("baseline", "followup")
@@ -60,21 +59,21 @@ class BinningConfig:
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not math.isfinite(value)):
-                raise ParameterError(f"{name} must be a finite number, got {value!r}")
+                raise InputError(f"{name} must be a finite number, got {value!r}")
         if (isinstance(self.n_adc_bins, bool)
                 or not isinstance(self.n_adc_bins, numbers.Integral)):
-            raise ParameterError(f"n_adc_bins must be an integer, "
-                                 f"got {self.n_adc_bins!r}")
+            raise InputError(f"n_adc_bins must be an integer, "
+                             f"got {self.n_adc_bins!r}")
         if not (self.adc_min < self.adc_max):
-            raise ParameterError(f"adc_min must be < adc_max, "
-                                 f"got [{self.adc_min}, {self.adc_max}]")
+            raise InputError(f"adc_min must be < adc_max, "
+                             f"got [{self.adc_min}, {self.adc_max}]")
         if self.n_adc_bins < 2:
-            raise ParameterError(f"n_adc_bins must be >= 2, got {self.n_adc_bins}")
+            raise InputError(f"n_adc_bins must be >= 2, got {self.n_adc_bins}")
         # finite bounds can still span more than a float holds, or a range
         # too narrow to split, and binning would divide by an inf or 0 width
         if not 0 < self.width < math.inf:
-            raise ParameterError(f"[{self.adc_min}, {self.adc_max}] in "
-                                 f"{self.n_adc_bins} bins gives bin width {self.width}")
+            raise InputError(f"[{self.adc_min}, {self.adc_max}] in "
+                             f"{self.n_adc_bins} bins gives bin width {self.width}")
 
     @property
     def width(self) -> float:
@@ -165,14 +164,14 @@ def _voxel_table(tumor, cohort, timepoint, adc, ids, path):
     n_treated = np.bincount(tumor[cohort == 1], minlength=len(ids))
     mixed = [ids[k] for k in np.flatnonzero((n_treated > 0) & (n_treated < n))]
     if mixed:
-        raise InputFormatError(f"{path}: tumor {min(mixed)!r} is listed as both "
-                               f"control and treated")
+        raise InputError(f"{path}: tumor {min(mixed)!r} is listed as both "
+                         f"control and treated")
     keep = np.flatnonzero(n > 0)
     tumor_ids = tuple(ids[k] for k in keep)
     unsafe = [t for t in tumor_ids if t in ("", ".", "..") or "/" in t or "\0" in t]
     if unsafe:
-        raise InputFormatError(f"{path}: tumor id {unsafe[0]!r} cannot name a "
-                               f"histogram file")
+        raise InputError(f"{path}: tumor id {unsafe[0]!r} cannot name a "
+                         f"histogram file")
     code = np.zeros(len(ids), dtype=np.int32)
     code[keep] = np.arange(len(keep))
     return VoxelTable(tumor=code[tumor], timepoint=timepoint, adc=adc, tumor_ids=tumor_ids,
@@ -230,10 +229,10 @@ class Histogram2D:
 
 # failed checks of a signal group, in the order they are tested
 _GROUP_PROBLEMS = (None,
-                   (DegenerateDesignError, "need at least 2 distinct b-values"),
-                   (ValueError, "b-values must be non-negative"),
-                   (ValueError, "signals must be positive for the log-linear fit"),
-                   (ValueError, "b-values and signals must be finite"))
+                   "need at least 2 distinct b-values",
+                   "b-values must be non-negative",
+                   "signals must be positive for the log-linear fit",
+                   "b-values and signals must be finite")
 
 
 def _fit_groups(group, b, s, n_groups):
@@ -267,8 +266,8 @@ def fit_adc(b_values, signals) -> float:
     """ADC of one voxel from a mono-exponential signal decay.
 
     Fits ln(S) = ln(S0) - b*D by least squares and returns D (mm^2/s).
-    Fewer than two distinct b-values raise DegenerateDesignError; negative
-    b-values, non-positive signals or non-finite values raise ValueError.
+    Fewer than two distinct b-values, negative b-values, non-positive
+    signals or non-finite values raise InputError.
     """
     b = np.asarray(b_values, dtype=float)
     s = np.asarray(signals, dtype=float)
@@ -276,8 +275,7 @@ def fit_adc(b_values, signals) -> float:
         raise ValueError("b_values and signals must have the same length")
     d, problem = _fit_groups(np.zeros(b.size, dtype=np.intp), b, s, 1)
     if problem[0]:
-        error, message = _GROUP_PROBLEMS[problem[0]]
-        raise error(message)
+        raise InputError(_GROUP_PROBLEMS[problem[0]])
     return float(d[0])
 
 
@@ -289,7 +287,7 @@ def bin_voxels(table: VoxelTable, config: BinningConfig):
     a warning attached.
     """
     if len(table) == 0:
-        raise EmptyInputError("no voxel records to bin")
+        raise InputError("no voxel records to bin")
     nb = config.n_adc_bins
     adc = table.adc
     n_tumors = len(table.tumor_ids)
@@ -366,11 +364,11 @@ def _csv_chunks(path, columns):
 def _wanted(path, columns, header):
     """Index of each requested column in the header's field names."""
     if header is None:
-        raise InputFormatError(f"{path}: empty file")
+        raise InputError(f"{path}: empty file")
     index = {name: i for i, name in enumerate(header)}
     missing = [c for c in columns if c not in index]
     if missing:
-        raise InputFormatError(f"{path}: missing columns {missing}")
+        raise InputError(f"{path}: missing columns {missing}")
     return [index[c] for c in columns]
 
 
@@ -435,7 +433,7 @@ def _fixed_width(data, lo, hi):
 def _text_blocks(path, fh, base):
     """Lists of the lines of fh, whose next line is physical line base + 1, as
     open(path, encoding="utf-8", newline="") reads them; an undecodable byte
-    is an InputFormatError naming its line. Blocks are cut after a line
+    is an InputError naming its line. Blocks are cut after a line
     break, so no character or CRLF is split."""
     rest = b""
     while True:
@@ -449,8 +447,8 @@ def _text_blocks(path, fh, base):
         except UnicodeDecodeError as exc:
             head = data[:exc.start]
             line = base + 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-            raise InputFormatError(f"{path}: line {line}: cannot decode byte 0x"
-                                   f"{data[exc.start]:02x} as UTF-8: {exc.reason}") from None
+            raise InputError(f"{path}: line {line}: cannot decode byte 0x"
+                             f"{data[exc.start]:02x} as UTF-8: {exc.reason}") from None
         yield lines
         base += len(lines)
         if not block:
@@ -483,7 +481,7 @@ def _reader_chunks(path, fh, base, columns, wanted):
             yield lines, [np.fromiter(map(itemgetter(i), rows), object, len(rows))
                           for i in wanted], short
     except csv.Error as exc:
-        raise InputFormatError(f"{path}: line {base + reader.line_num}: {exc}") from None
+        raise InputError(f"{path}: line {base + reader.line_num}: {exc}") from None
 
 
 def _floats(fields):
@@ -525,7 +523,7 @@ def _cat(parts, dtype):
 def load_voxel_csv(path) -> VoxelLoadResult:
     """Load a voxel CSV as a VoxelTable; malformed rows are reported with line numbers.
 
-    A tumor listed under both cohorts raises InputFormatError.
+    A tumor listed under both cohorts raises InputError.
     """
     errors = []
     index = {}  # tumor id -> code
@@ -602,7 +600,7 @@ def load_signal_csv(path) -> VoxelLoadResult:
     t = _codes(timepoint, lambda v: _TIMEPOINT_CODES.get(v, -1), np.int8)
     c = _codes(cohort, lambda v: _COHORT_CODES.get(v, -1), np.int8)
     ok = (problem == 0) & (t >= 0) & (c >= 0) & np.isfinite(adc) & (adc > 0)
-    errors.extend((int(first_line[j]), _GROUP_PROBLEMS[problem[j]][1] if problem[j]
+    errors.extend((int(first_line[j]), _GROUP_PROBLEMS[problem[j]] if problem[j]
                    else _voxel_problem(timepoint[j], cohort[j], repr(float(adc[j]))))
                   for j in np.flatnonzero(~ok))
     index = {}

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnalysisError, EmptyInputError, ParameterError
+from .errors import AnalysisError, InputError
 from .model import LpmModel, fit_quantities, model_expectation
 from .selection import GoodnessOfFit, chi2_statistic
 
@@ -190,7 +190,7 @@ def quantity_covariance(model: LpmModel, h, q, chi2: GoodnessOfFit) -> QuantityC
 
 def _require_treatment(model: LpmModel):
     if model.n_treatment < 1:
-        raise ParameterError("model has no treatment components")
+        raise InputError("model has no treatment components")
 
 
 def response_result(model: LpmModel, h, q, cov: QuantityCovariance) -> ResponseResult:
@@ -227,7 +227,7 @@ def response_result(model: LpmModel, h, q, cov: QuantityCovariance) -> ResponseR
 def combine_cohort(zs) -> CohortSummary:
     """Stouffer combination of per-tumor Z-scores."""
     if not zs:
-        raise EmptyInputError("no results to combine")
+        raise InputError("no results to combine")
     combined = float(np.sum(zs) / np.sqrt(len(zs)))
     return CohortSummary(combined_z=combined, combined_p=two_tailed_p(combined))
 

@@ -46,8 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (AnalysisError, BinningMismatchError, EmptyInputError,
-                     InputFormatError, ParameterError)
+from .errors import AnalysisError, InputError
 from .histograms import BinningConfig, Histogram2D, write_json
 
 _M_FLOOR = 1e-300
@@ -65,11 +64,11 @@ class TrainOptions:
 
     def __post_init__(self):
         if self.restarts < 1:
-            raise ParameterError(f"restarts must be >= 1, got {self.restarts}")
+            raise InputError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iter < 1:
-            raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
+            raise InputError(f"max_iter must be >= 1, got {self.max_iter}")
         if not self.tol >= 0:  # also rejects nan
-            raise ParameterError(f"tol must be >= 0, got {self.tol}")
+            raise InputError(f"tol must be >= 0, got {self.tol}")
 
 
 @dataclass
@@ -180,14 +179,14 @@ def write_model_json(path, model: LpmModel):
 
 
 def read_model_json(path) -> LpmModel:
-    """Model from a model.json file; a malformed file is an InputFormatError."""
+    """Model from a model.json file; a malformed file is an InputError."""
     try:
         with open(path) as fh:
             return LpmModel.from_json_dict(json.load(fh))
     except KeyError as exc:
-        raise InputFormatError(f"{path}: model lacks key {exc}") from None
+        raise InputError(f"{path}: model lacks key {exc}") from None
     except (ValueError, TypeError, IndexError) as exc:
-        raise InputFormatError(f"{path}: malformed model: {exc}") from None
+        raise InputError(f"{path}: malformed model: {exc}") from None
 
 
 def _em(H, P, Q, trainable, max_iter, tol):
@@ -323,9 +322,9 @@ def _stack(cohort, binning):
     H = np.empty((len(cohort), binning.n_cells))
     for i, h in enumerate(cohort):
         if h.binning != binning:
-            raise BinningMismatchError(f"tumor {h.tumor_id}: binning differs from model")
+            raise InputError(f"tumor {h.tumor_id}: binning differs from model")
         if h.total == 0:
-            raise EmptyInputError(f"tumor {h.tumor_id}: empty histogram")
+            raise InputError(f"tumor {h.tumor_id}: empty histogram")
         H[i] = h.counts.reshape(-1)
     return H
 
@@ -363,9 +362,9 @@ def _training_meta(opts, diag, prefix):
 def train_control(cohort, n_control: int, opts: TrainOptions = TrainOptions()) -> TrainResult:
     """Learn control components and per-histogram quantities from a cohort."""
     if not cohort:
-        raise EmptyInputError("control cohort is empty")
+        raise InputError("control cohort is empty")
     if n_control < 1:
-        raise ParameterError(f"n_control must be >= 1, got {n_control}")
+        raise InputError(f"n_control must be >= 1, got {n_control}")
     binning = cohort[0].binning
     H = _stack(cohort, binning)
     ones = np.ones(binning.n_cells)
@@ -458,11 +457,11 @@ def train_treatment(control_model: LpmModel, cohort, n_treatment: int,
     quantities are EM's, under the PMFs before _purify_treatment.
     """
     if control_model.n_treatment != 0:
-        raise ParameterError("base model already has treatment components")
+        raise InputError("base model already has treatment components")
     if n_treatment < 1:
-        raise ParameterError(f"n_treatment must be >= 1, got {n_treatment}")
+        raise InputError(f"n_treatment must be >= 1, got {n_treatment}")
     if not cohort:
-        raise EmptyInputError("treated cohort is empty")
+        raise InputError("treated cohort is empty")
     binning = control_model.binning
     H = _stack(cohort, binning)
     n_cells = binning.n_cells
@@ -503,8 +502,8 @@ def train_model(control, treated, n_control: int, n_treatment: int,
     A negative n_treatment is rejected before the control phase runs.
     """
     if n_treatment < 0:
-        raise ParameterError(f"n_treatment must be >= 1, or 0 for a control-only "
-                             f"model, got {n_treatment}")
+        raise InputError(f"n_treatment must be >= 1, or 0 for a control-only "
+                         f"model, got {n_treatment}")
     model = train_control(control, n_control, opts).model
     if n_treatment:
         model = train_treatment(model, treated, n_treatment, opts).model
@@ -514,7 +513,7 @@ def train_model(control, treated, n_control: int, n_treatment: int,
 def check_jobs(jobs: int) -> None:
     """Reject a worker count below 1."""
     if jobs < 1:
-        raise ParameterError(f"jobs must be >= 1, got {jobs}")
+        raise InputError(f"jobs must be >= 1, got {jobs}")
 
 
 def map_jobs(fn, tasks, jobs: int = 1) -> list:

@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import OverParameterisedError, ParameterError, SelectionFailedError
+from .errors import AnalysisError, InputError
 from .model import (LpmModel, TrainOptions, check_jobs, fit_quantities,
                     map_jobs, model_expectation, train_control,
                     train_treatment)
@@ -62,7 +62,7 @@ def chi2_statistic(counts, expected, n_free_params: int = 0) -> GoodnessOfFit:
     raw = float(np.sum((np.sqrt(H[active]) - np.sqrt(M[active])) ** 2) / SQRT_VARIANCE)
     dof = int(active.sum()) - n_free_params
     if dof <= 0:
-        raise OverParameterisedError(
+        raise AnalysisError(
             f"{n_free_params} free parameters for {int(active.sum())} informative cells")
     return GoodnessOfFit(raw_chi2=raw, dof=dof, chi2_per_dof=raw / dof)
 
@@ -90,7 +90,7 @@ def chi2_per_dof(histograms, model: LpmModel, quantities,
             + len(histograms) * model.n_components)
     dof = active - free
     if dof <= 0:
-        raise OverParameterisedError(f"{free} free parameters for {active} informative cells")
+        raise AnalysisError(f"{free} free parameters for {active} informative cells")
     return GoodnessOfFit(raw_chi2=raw, dof=dof, chi2_per_dof=raw / dof)
 
 
@@ -118,7 +118,7 @@ def choose_component_count(points) -> int:
     """
     usable = [p for p in points if p.converged and not p.degenerate]
     if not usable:
-        raise SelectionFailedError("all candidate models degenerate or unconverged")
+        raise AnalysisError("all candidate models degenerate or unconverged")
     tie = _first_tie(usable)
     return (tie[0] if tie else usable[-1]).n_components
 
@@ -136,11 +136,11 @@ def _train_candidate(cohort, base_model, opts, k):
                                      q_init=np.maximum(q, h.total * 1e-6))[0]
                       for h, q in zip(cohort, result.quantities)]
     diag = result.diagnostics
+    degenerate = diag.degenerate
     try:
         chi2 = chi2_per_dof(cohort, result.model, quantities,
                             n_trainable_components=n_trainable).chi2_per_dof
-        degenerate = diag.degenerate
-    except OverParameterisedError:
+    except AnalysisError:
         # too many parameters for the data; exclude from the argmin
         chi2, degenerate = float("nan"), True
     return SelectionPoint(n_components=k, chi2_per_dof=chi2, degenerate=degenerate,
@@ -163,9 +163,9 @@ def select_components(cohort, base_model, k_min: int, k_max: int,
     phase = "control" if base_model is None else "treatment"
     floor = 1 if base_model is None else base_model.n_control + 1
     if k_min < floor:
-        raise ParameterError(f"k_min must be >= {floor} for phase {phase}, got {k_min}")
+        raise InputError(f"k_min must be >= {floor} for phase {phase}, got {k_min}")
     if k_max <= k_min:
-        raise ParameterError(f"need k_max > k_min, got [{k_min}, {k_max}]")
+        raise InputError(f"need k_max > k_min, got [{k_min}, {k_max}]")
     check_jobs(jobs)
     train = partial(_train_candidate, list(cohort), base_model, opts)
     ks = range(k_min, k_max + 1)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInputError
+from .errors import InputError
 from .histograms import TIMEPOINTS, BinningConfig, Histogram2D
 from .model import ComponentPmf
 
@@ -167,7 +167,7 @@ def histogram_to_voxels(h: Histogram2D):
     exactly.
     """
     if h.total == 0:
-        raise EmptyInputError(f"tumor {h.tumor_id}: empty histogram")
+        raise InputError(f"tumor {h.tumor_id}: empty histogram")
     rows = []
     for i, center in enumerate(h.binning.centers.tolist()):
         for t, timepoint in enumerate(TIMEPOINTS):

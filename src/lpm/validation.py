@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import EmptyInputError, LpmError
+from .errors import AnalysisError, InputError
 from .inference import ResponseResult, fit_and_score
 from .model import TrainOptions, check_jobs, map_jobs, train_model
 
@@ -40,12 +40,15 @@ class LooEntry:
 
 
 def _run_fold(control_cohort, treated_cohort, n_control, n_treatment, opts, k):
-    """(k, leave-one-out result, "") of fold k, or (k, None, error) if it failed."""
+    """(k, leave-one-out result, "") of fold k, or (k, None, error) if its
+    analysis failed. The leave-all-in run has already trained on a superset
+    of the fold's cohort and scored its tumor, so no fold meets an
+    InputError that run did not."""
     reduced = control_cohort[:k] + control_cohort[k + 1:]
     try:
         model = train_model(reduced, treated_cohort, n_control, n_treatment, opts)
         return k, fit_and_score(model, control_cohort[k]), ""
-    except LpmError as exc:
+    except AnalysisError as exc:
         return k, None, str(exc)
 
 
@@ -60,12 +63,12 @@ def leave_one_out(control_cohort, treated_cohort, n_control: int,
     control_cohort = list(control_cohort)
     treated_cohort = list(treated_cohort)
     if len(control_cohort) < 3:
-        raise EmptyInputError("leave-one-out needs at least 3 control tumors")
+        raise InputError("leave-one-out needs at least 3 control tumors")
     if not treated_cohort:
-        raise EmptyInputError("treated cohort is empty")
+        raise InputError("treated cohort is empty")
     if n_treatment < 1:
-        raise LpmError("leave-one-out scores treatment response and needs "
-                       "n_treatment >= 1")
+        raise InputError("leave-one-out scores treatment response and needs "
+                         "n_treatment >= 1")
 
     full_model = train_model(control_cohort, treated_cohort,
                              n_control, n_treatment, opts)

@@ -80,6 +80,17 @@ class TestPipeline:
         assert (pipeline / "effect_bars.svg").read_text().startswith("<svg")
         assert (pipeline / "components.svg").read_text().startswith("<svg")
 
+    def test_report_lists_hash_prefixed_tumor(self, pipeline, tmp_path):
+        # only the first line is the run comment; a tumor id may start with #
+        response = tmp_path / "response_treated.csv"
+        response.write_text((pipeline / "response_treated.csv").read_text()
+                            .replace("\ntrt01,", "\n#trt01,"))
+        assert run(["report", "--model", pipeline / "model.json",
+                    "--response", response, "--out-dir", tmp_path]) == 0
+        report = (tmp_path / "report.txt").read_text()
+        assert "Tumors scored: 10\n" in report
+        assert "\n  #trt01: z=" in report
+
 
 class TestHistogramDirectory:
     def test_model_in_histogram_dir_is_skipped(self, pipeline, tmp_path):
@@ -250,6 +261,17 @@ class TestIngest:
         assert run(["ingest", f"--{kind}", path, "--out-dir", tmp_path]) == 2
         assert "'t7'" in capsys.readouterr().err
 
+    def test_field_beyond_csv_limit_is_input_error(self, tmp_path, capsys):
+        limit = csv.field_size_limit()
+        path = tmp_path / "voxels.csv"
+        path.write_text("tumor_id,cohort,timepoint,adc\n"
+                        "t1,control,0,0.001\n"
+                        f"t{'1' * limit},control,0,0.001\n")
+        assert run(["ingest", "--voxels", path, "--out-dir", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == (f"input error: {path}: line 3: field "
+                                           f"larger than field limit ({limit})\n")
+        assert not (tmp_path / "out" / "histograms").exists()
+
 
 class TestExitCodes:
     def test_missing_file_is_input_error(self, tmp_path):
@@ -374,6 +396,25 @@ class TestExitCodes:
         assert rows[0][0] == first and rows[0][2] == "failed"
         assert all(row[2] != "failed" for row in rows[1:])
 
+    def test_select_with_no_usable_candidate_is_analysis_failure(self, pipeline,
+                                                                tmp_path, capsys):
+        assert run(["select", "--histograms", pipeline / "histograms", "--k-max", "2",
+                    "--restarts", "1", "--max-iter", "1", "--out-dir", tmp_path]) == 1
+        assert capsys.readouterr().err == ("analysis failed: all candidate models "
+                                           "degenerate or unconverged\n")
+        assert not (tmp_path / "model.json").exists()
+
+    def test_fit_cohort_without_histograms_is_input_error(self, pipeline, tmp_path,
+                                                          capsys):
+        hists = tmp_path / "h"
+        hists.mkdir()
+        for path in (pipeline / "histograms").glob("trt*.json"):
+            shutil.copy(path, hists)
+        assert run(["fit", "--model", pipeline / "model.json", "--histograms", hists,
+                    "--cohort", "control", "--out-dir", tmp_path]) == 2
+        assert capsys.readouterr().err == "error: no control histograms found\n"
+        assert not (tmp_path / "response_control.csv").exists()
+
     def test_fit_on_control_only_model_is_input_error(self, pipeline, tmp_path,
                                                       capsys):
         hists = pipeline / "histograms"
@@ -419,6 +460,8 @@ class TestExitCodes:
                      "Is a directory", id="model-directory"),
         pytest.param(["baseline", "--histograms", "{hists}", "--config", "{hists}"],
                      "Is a directory", id="config-directory"),
+        pytest.param(["baseline", "--histograms", "{empty}"],
+                     "no histogram JSON files in", id="histograms-without-json"),
         pytest.param(["select", "--histograms", "{hists}", "--jobs", "0"],
                      "jobs must be >= 1", id="select-jobs-0"),
         pytest.param(["validate", "--histograms", "{hists}", "--n-control", "3",
@@ -431,8 +474,9 @@ class TestExitCodes:
         voxels.write_text("tumor_id,cohort,timepoint,adc\nt1,control,0,0.001\n")
         config = tmp_path / "run.cfg"
         config.write_text("seed = abc\n")
+        (tmp_path / "empty").mkdir()
         paths = {"hists": pipeline / "histograms", "voxels": voxels,
-                 "config": config}
+                 "config": config, "empty": tmp_path / "empty"}
         argv = [a.format(**paths) for a in argv] + ["--out-dir", tmp_path]
         assert exit_code(argv) == 2
         err = capsys.readouterr().err

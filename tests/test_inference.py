@@ -5,7 +5,7 @@ import pytest
 import scipy.special
 
 from conftest import make_model, poisson_histogram
-from lpm.errors import EmptyInputError, ParameterError
+from lpm.errors import AnalysisError, InputError
 from lpm.inference import (combine_cohort, erf, erfc, fit_and_score, ndtr,
                            quantity_covariance, response_result, two_tailed_p)
 from lpm.histograms import BinningConfig, Histogram2D
@@ -147,7 +147,19 @@ class TestResponseResult:
     def test_control_only_model_is_parameter_error(self, small_binning):
         model = make_model(small_binning, n_control=2, seed=6)
         h = poisson_histogram(model, np.array([5000.0, 5000.0]), seed=8)
-        with pytest.raises(ParameterError):
+        with pytest.raises(InputError, match="no treatment components"):
+            fit_and_score(model, h)
+
+    def test_exact_fit_of_nonzero_treatment_is_analysis_error(self):
+        # two uniform 2-cell columns fit [3, 3, 5, 5] exactly: chi2 = 0
+        # scales the covariance to zero under a nonzero treatment quantity
+        binning = BinningConfig(n_adc_bins=2)
+        model = LpmModel(P=[[0.5, 0.0], [0.5, 0.0], [0.0, 0.5], [0.0, 0.5]],
+                         n_control=1, binning=binning)
+        h = Histogram2D(tumor_id="t1", cohort="treated", counts=[[3, 3], [5, 5]],
+                        binning=binning)
+        with pytest.raises(AnalysisError, match="tumor t1: nonzero treatment "
+                           "quantity with zero error"):
             fit_and_score(model, h)
 
     def test_treatment_pinned_in_sum_but_not_per_component_scores_zero(self, small_binning):
@@ -173,7 +185,7 @@ class TestCombineCohort:
         assert combine_cohort([3.0]).combined_z == pytest.approx(3.0)
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(InputError, match="no results to combine"):
             combine_cohort([])
 
 

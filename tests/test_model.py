@@ -1,3 +1,5 @@
+import json
+import re
 from functools import partial
 
 import numpy as np
@@ -8,9 +10,8 @@ from scipy.optimize import nnls as scipy_nnls
 
 from conftest import em_from_outside_the_cone, make_model, make_pmf, poisson_histogram
 from lpm import model as model_module
-from lpm.errors import (AnalysisError, BinningMismatchError, EmptyInputError,
-                        ParameterError)
-from lpm.histograms import Histogram2D
+from lpm.errors import AnalysisError, InputError
+from lpm.histograms import BinningConfig, Histogram2D
 from lpm.model import (ComponentPmf, LpmModel, TrainOptions, _nnls,
                        _purify_treatment, fit_quantities, map_jobs,
                        model_expectation, read_model_json, train_control,
@@ -83,6 +84,21 @@ class TestLpmModel:
         assert back.n_control == 2 and back.n_treatment == 1
         assert np.array_equal(back.P, m.P)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["binning"].update(n_adc_bins=4),
+         "malformed model: component grid does not match binning"),
+        (lambda d: d.pop("n_control"), "model lacks key 'n_control'"),
+    ], ids=["grid-not-binning", "missing-key"])
+    def test_malformed_json_is_input_error(self, tmp_path, small_binning, edit,
+                                           message):
+        path = tmp_path / "model.json"
+        write_model_json(path, make_model(small_binning, n_control=2, n_treatment=1))
+        d = json.loads(path.read_text())
+        edit(d)
+        path.write_text(json.dumps(d))
+        with pytest.raises(InputError, match=re.escape(f"{path}: {message}")):
+            read_model_json(path)
+
 
 class TestFitQuantities:
     def test_recovers_exact_mixture(self, small_binning):
@@ -117,14 +133,14 @@ class TestFitQuantities:
         m = make_model(small_binning, n_control=2)
         h = Histogram2D(tumor_id="t", cohort="control",
                         counts=np.ones((32, 2)), binning=binning)
-        with pytest.raises(BinningMismatchError):
+        with pytest.raises(InputError, match="binning differs from model"):
             fit_quantities(m, h)
 
     def test_empty_histogram(self, small_binning):
         m = make_model(small_binning, n_control=2)
         h = Histogram2D(tumor_id="t", cohort="control",
                         counts=np.zeros((8, 2)), binning=small_binning)
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(InputError, match="empty histogram"):
             fit_quantities(m, h)
 
 
@@ -264,11 +280,11 @@ class TestTrainControl:
         assert np.array_equal(a.quantities, b.quantities)
 
     def test_empty_cohort(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(InputError, match="control cohort is empty"):
             train_control([], 2)
 
     def test_needs_a_restart(self):
-        with pytest.raises(ParameterError, match="restarts"):
+        with pytest.raises(InputError, match="restarts"):
             TrainOptions(restarts=0)
 
     @pytest.mark.parametrize("kwargs, message", [
@@ -278,7 +294,7 @@ class TestTrainControl:
         ({"tol": float("nan")}, "tol must be >= 0"),
     ])
     def test_needs_a_map_and_a_non_negative_tol(self, kwargs, message):
-        with pytest.raises(ParameterError, match=message):
+        with pytest.raises(InputError, match=message):
             TrainOptions(**kwargs)
 
 
@@ -321,6 +337,32 @@ class TestTrainTreatment:
         base, _, treated = trained
         with pytest.raises(ValueError):
             train_treatment(base.model, treated, 0)
+
+    def test_empty_treated_cohort(self, trained):
+        base, _, _ = trained
+        with pytest.raises(InputError, match="treated cohort is empty"):
+            train_treatment(base.model, [], 1)
+
+    def test_zero_residual_seeds_from_uniform(self, monkeypatch):
+        # the control column fits the treated histogram exactly, so the
+        # control-only fit leaves no positive residual to seed from
+        binning = BinningConfig(n_adc_bins=8)
+        base = LpmModel(P=np.full((16, 1), 1 / 16), n_control=1, binning=binning)
+        treated = [Histogram2D(tumor_id="t", cohort="treated",
+                               counts=np.full((8, 2), 10), binning=binning)]
+        real = model_module._train_phase
+        draws = []
+
+        def train_phase(H, P_frozen, n_new, draw_column, opts):
+            draws.append(draw_column(np.random.default_rng(0)))
+            return real(H, P_frozen, n_new, draw_column, opts)
+
+        monkeypatch.setattr(model_module, "_train_phase", train_phase)
+        result = train_treatment(base, treated, 1, TrainOptions(restarts=1, max_iter=50))
+        gamma = np.random.default_rng(0).gamma(4.0, size=16)
+        assert np.allclose(draws[0], gamma / gamma.sum(), rtol=1e-12, atol=0)
+        assert result.model.n_treatment == 1
+        assert np.allclose(result.model.P.sum(axis=0), 1.0)
 
     def test_rejects_base_with_treatment(self, trained):
         _, full, treated = trained
@@ -380,5 +422,5 @@ class TestMapJobs:
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, jobs):
-        with pytest.raises(ParameterError, match="jobs must be >= 1"):
+        with pytest.raises(InputError, match="jobs must be >= 1"):
             map_jobs(partial(pow, 2), [1], jobs)

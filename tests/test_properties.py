@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpm import histograms, model, selection
-from lpm.errors import DegenerateDesignError, SelectionFailedError
+from lpm.errors import AnalysisError
 from lpm.histograms import (COHORTS, BinningConfig, Histogram2D, bin_voxels,
                             load_signal_csv, load_voxel_csv, write_voxel_csv)
 from lpm.inference import quantity_covariance
@@ -281,9 +281,9 @@ def test_sweep_stops_where_the_rule_is_decided(points, jobs):
     with mock.patch.object(selection, "_train_candidate", train), \
             mock.patch.object(selection, "map_jobs", serial):
         if not usable:
-            with pytest.raises(SelectionFailedError):
+            with pytest.raises(AnalysisError, match="all candidate models degenerate"):
                 choose_component_count(points)
-            with pytest.raises(SelectionFailedError):
+            with pytest.raises(AnalysisError, match="all candidate models degenerate"):
                 select_components([], None, 1, len(points), jobs=jobs)
             return
         curve, best = select_components([], None, 1, len(points), jobs=jobs)
@@ -496,7 +496,7 @@ def reference_signals(path):
         b, s, lines = zip(*rows)
         try:
             adc = histograms.fit_adc(b, s)
-        except (ValueError, DegenerateDesignError) as exc:
+        except ValueError as exc:
             errors.append((lines[0], str(exc)))
             continue
         message = _voxel_message(timepoint, cohort, adc, None)

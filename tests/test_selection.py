@@ -7,7 +7,7 @@ from conftest import make_model, poisson_histogram
 from lpm import model as model_module
 from lpm import selection
 from lpm.cli import write_csv
-from lpm.errors import OverParameterisedError, SelectionFailedError
+from lpm.errors import AnalysisError
 from lpm.histograms import BinningConfig, Histogram2D
 from lpm.model import TrainOptions, fit_quantities, train_control
 from lpm.selection import (SQRT_VARIANCE, SelectionPoint, chi2_per_dof,
@@ -39,7 +39,8 @@ class TestChi2Statistic:
         assert gof.dof == 1
 
     def test_over_parameterised(self):
-        with pytest.raises(OverParameterisedError):
+        with pytest.raises(AnalysisError,
+                           match="1 free parameters for 1 informative cells"):
             chi2_statistic([4.0], [4.0], n_free_params=1)
 
 
@@ -108,14 +109,14 @@ class TestChooseComponentCount:
 
     def test_all_degenerate_raises(self):
         points = self._points([1.0, 1.0], degenerate=[True, True])
-        with pytest.raises(SelectionFailedError):
+        with pytest.raises(AnalysisError, match="all candidate models degenerate"):
             choose_component_count(points)
 
     def test_unconverged_points_skipped(self):
         points = self._points([50.0, 20.0, 1.0, 0.99],
                               converged=[True, True, False, True])
         assert choose_component_count(points) == 4
-        with pytest.raises(SelectionFailedError):
+        with pytest.raises(AnalysisError, match="all candidate models degenerate"):
             choose_component_count(self._points([1.0], converged=[False]))
 
 

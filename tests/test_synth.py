@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lpm.errors import EmptyInputError
+from lpm.errors import InputError
 from lpm.histograms import bin_voxels, load_voxel_csv, write_voxel_csv
 from lpm.synth import (SynthSpec, bump_pmf, default_scenarios, generate,
                        histogram_to_voxels, spread_components)
@@ -127,5 +127,5 @@ class TestHistogramToVoxels:
 
         h = Histogram2D(tumor_id="t", cohort="control",
                         counts=np.zeros((32, 2)), binning=binning)
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(InputError, match="empty histogram"):
             histogram_to_voxels(h)

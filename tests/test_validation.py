@@ -5,7 +5,7 @@ import pytest
 from conftest import em_from_outside_the_cone
 from lpm import model, validation
 from lpm.cli import write_csv
-from lpm.errors import EmptyInputError, LpmError, ParameterError
+from lpm.errors import InputError
 from lpm.histograms import BinningConfig
 from lpm.model import TrainOptions
 from lpm.synth import SynthSpec, bump_pmf, generate, spread_components
@@ -85,7 +85,7 @@ class TestLeaveOneOut:
                          treatment_pmfs=trt, cohort_sizes=(2, 2),
                          counts_per_tumor=2000.0, seed=0)
         control, treated, _ = generate(spec)
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(InputError, match="at least 3 control tumors"):
             leave_one_out(control, treated, 1, 1)
 
     def test_needs_treated_cohort(self):
@@ -94,7 +94,7 @@ class TestLeaveOneOut:
         spec = SynthSpec(binning=binning, control_pmfs=ctrl, treatment_pmfs=[],
                          cohort_sizes=(4, 0), counts_per_tumor=2000.0, seed=0)
         control, _, _ = generate(spec)
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(InputError, match="treated cohort is empty"):
             leave_one_out(control, [], 1, 1)
 
     def test_needs_treatment_components(self):
@@ -104,7 +104,7 @@ class TestLeaveOneOut:
                          treatment_pmfs=trt, cohort_sizes=(3, 2),
                          counts_per_tumor=2000.0, seed=0)
         control, treated, _ = generate(spec)
-        with pytest.raises(LpmError, match="n_treatment"):
+        with pytest.raises(InputError, match="n_treatment"):
             leave_one_out(control, treated, 1, 0)
 
     def test_jobs_below_one_rejected_before_training(self, monkeypatch):
@@ -117,6 +117,6 @@ class TestLeaveOneOut:
 
         monkeypatch.setattr(validation, "train_model", train_model)
         control, treated = _cohorts()
-        with pytest.raises(ParameterError, match="jobs must be >= 1"):
+        with pytest.raises(InputError, match="jobs must be >= 1"):
             leave_one_out(control, treated, 1, 1, jobs=0)
         assert calls == []

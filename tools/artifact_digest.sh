@@ -7,6 +7,9 @@
 # The round trip is lovo_like at seed 3, every training with --restarts 1:
 # synth --emit-voxels, ingest of the emitted voxels, select --k-max 5,
 # train 3+2 and 3+0, fit of both cohorts, validate, baseline and report.
+# Beside it, ingest --signals reads signals.csv, which the script writes:
+# 12 voxels at 4 b-values each, one signal that does not parse and one
+# voxel with a single b-value, so the digest also covers the rejections.
 # select and validate run once more with --jobs 2 (into select_jobs2 and
 # validate_jobs2), so the digest also covers the process-pool path; the
 # script exits 1 after the digest if those differ from select and validate
@@ -34,6 +37,19 @@ fast="--restarts 1"
 hists=$out/synth/histograms
 lpm synth --preset lovo_like --emit-voxels --out-dir "$out/synth"
 lpm ingest --voxels "$out/synth/voxels.csv" --out-dir "$out/ingest"
+awk 'BEGIN {
+    print "tumor_id,cohort,timepoint,voxel_id,b,signal"
+    split("0 250 500 1000", b, " ")
+    for (t = 1; t <= 2; t++)
+        for (h = 0; h <= 72; h += 72)
+            for (v = 1; v <= 3; v++)
+                for (i = 1; i <= 4; i++)
+                    printf "s%d,%s,%d,v%d,%d,%.3f\n", t, t == 1 ? "control" : "treated",
+                        h, v, b[i], 1000 * exp(-b[i] * (0.0007 + 0.0001 * (v + t + h / 36)))
+    print "s1,control,0,v4,0,n/a"
+    print "s2,treated,72,v5,500,420.5"
+}' >"$out/signals.csv"
+lpm ingest --signals "$out/signals.csv" --out-dir "$out/ingest_signals"
 sweeps() {  # <jobs> <out-dir suffix>
     lpm select --histograms "$hists" --k-max 5 $fast --jobs "$1" \
         --out-dir "$out/select$2"
