@@ -70,12 +70,8 @@ def _load_cohorts(directory) -> dict:
     cohorts = {label: [] for label in COHORTS}
     files = {}  # tumor_id -> file
     for p in sorted(Path(directory).glob("*.json")):
-        try:
-            with open(p) as fh:
-                d = json.load(fh)
-        except ValueError as exc:
-            raise InputError(f"{p}: not valid JSON: {exc}") from None
-        if not isinstance(d, dict) or "counts" not in d:
+        d = _histogram_dict(p)
+        if d is None:
             continue
         try:
             h = Histogram2D.from_json_dict(d)
@@ -93,6 +89,32 @@ def _load_cohorts(directory) -> dict:
     if not files:
         raise InputError(f"no histogram JSON files in {directory}")
     return cohorts
+
+
+def _histogram_dict(p):
+    """The JSON object of file p when it has a "counts" key, else None."""
+    try:
+        with open(p) as fh:
+            d = json.load(fh)
+    except ValueError as exc:
+        raise InputError(f"{p}: not valid JSON: {exc}") from None
+    return d if isinstance(d, dict) and "counts" in d else None
+
+
+def _histogram_dir(out: Path, tumor_ids) -> Path:
+    """out/histograms, created if need be, for the histograms of tumor_ids.
+
+    A histogram there that none of them overwrites, or a .json file that is
+    not valid JSON, is an InputError: _load_cohorts would read it with them.
+    """
+    hist_dir = out / "histograms"
+    names = {f"{tumor_id}.json" for tumor_id in tumor_ids}
+    for p in sorted(hist_dir.glob("*.json")):
+        if p.name not in names and _histogram_dict(p) is not None:
+            raise InputError(f"{p} holds a histogram this run would not overwrite; "
+                             f"remove it or choose another --out-dir")
+    hist_dir.mkdir(exist_ok=True)
+    return hist_dir
 
 
 def _binning_from_args(args) -> BinningConfig:
@@ -120,8 +142,7 @@ def cmd_ingest(args, out: Path, meta: dict) -> int:
             print(f"  line {line}: {msg}", file=sys.stderr)
         return EXIT_INPUT
     hists = bin_voxels(loaded.records, config)
-    hist_dir = out / "histograms"
-    hist_dir.mkdir(exist_ok=True)
+    hist_dir = _histogram_dir(out, hists)
     summary = {"run": meta, "tumors": {}, "rejected_rows": [
         {"line": line, "message": msg} for line, msg in loaded.errors]}
     for tumor_id, h in hists.items():
@@ -142,8 +163,7 @@ def cmd_synth(args, out: Path, meta: dict) -> int:
         return EXIT_INPUT
     spec = scenarios[args.preset]
     control, treated, truth = generate(spec)
-    hist_dir = out / "histograms"
-    hist_dir.mkdir(exist_ok=True)
+    hist_dir = _histogram_dir(out, [h.tumor_id for h in control + treated])
     for h in control + treated:
         write_histogram_json(hist_dir / f"{h.tumor_id}.json", h)
     write_json(out / "ground_truth.json", {

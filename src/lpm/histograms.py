@@ -6,14 +6,19 @@ so adc_max itself still lands in-grid.
 
 Voxels are held as compact columns (``VoxelTable``): an int32 tumor code, an
 int8 timepoint code and a float64 ADC, 13 bytes per voxel. CSV files are read
-in chunks of records, each chunk's fields are mapped to integer codes and
-float arrays in bulk, and binning is a single ``np.bincount``. A chunk of
+in chunks of records, and binning is a single ``np.bincount``. A chunk of
 plain lines (ASCII, with no quote or NUL) is split into fields with numpy;
 from the first chunk that is not plain on, ``csv.reader`` reads the records.
+Every label column (tumor, cohort, timepoint, voxel) is coded one way: each
+stripped field gets its int32 code in a dict that grows in first-appearance
+order, and one lookup array maps cohort and timepoint codes to canonical
+ones, -1 for an unknown label. A signal voxel is the combination of its
+four label codes. Numbers are parsed into float arrays in bulk.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -32,11 +37,8 @@ COHORTS = ("control", "treated")
 TIMEPOINTS = ("baseline", "followup")
 
 # CSV files use the acquisition hour labels rather than the enum names.
-_TIMEPOINT_LABELS = {"0": "baseline", "72": "followup",
-                     "baseline": "baseline", "followup": "followup"}
 _TIMEPOINT_HOURS = {"baseline": "0", "followup": "72"}
-_TIMEPOINT_CODES = {label: TIMEPOINTS.index(name)
-                    for label, name in _TIMEPOINT_LABELS.items()}
+_TIMEPOINT_CODES = {"0": 0, "72": 1, "baseline": 0, "followup": 1}  # index into TIMEPOINTS
 _COHORT_CODES = {name: k for k, name in enumerate(COHORTS)}
 
 _CHUNK_ROWS = 2048  # CSV records (physical lines while they are plain) per chunk
@@ -124,33 +126,30 @@ def _narrowest(bound):
 
 
 def _str(field):
-    """A raw field, or a tuple of them, as str; plain chunks hold ASCII bytes."""
-    if isinstance(field, tuple):
-        return tuple(map(_str, field))
+    """A raw field as str; plain chunks hold ASCII bytes."""
     return field.decode() if isinstance(field, bytes) else field
 
 
-def _codes(columns, code_of, dtype):
-    """Integer code of each row; code_of runs once per distinct row.
+def _codes(column, labels, dtype):
+    """Code of each row's stripped field in labels, a dict from label to code.
 
-    columns is one array of raw fields or a tuple of them, and code_of gets
-    a row as a str or as a tuple of str. Rows are coded in order of first
-    appearance, and each run of equal neighbouring rows is looked up once.
-    A code that dtype cannot hold raises OverflowError.
+    labels grows in place: a label it lacks gets the next code, so codes
+    follow first appearance. Each run of equal neighbouring fields is looked
+    up once.
     """
-    if not isinstance(columns, tuple):
-        columns = (columns,)
-    n = len(columns[0])
-    starts = np.zeros(n, dtype=bool)
-    starts[:1] = True
-    for column in columns:
-        starts[1:] |= column[1:] != column[:-1]
-    starts = np.flatnonzero(starts)
-    keys = [column[starts].tolist() for column in columns]
-    keys = keys[0] if len(keys) == 1 else list(zip(*keys))
-    table = {v: code_of(_str(v)) for v in dict.fromkeys(keys)}
+    n = len(column)
+    starts = np.flatnonzero(np.append(n > 0, column[1:] != column[:-1]))
+    keys = column[starts].tolist()
+    table = {v: labels.setdefault(_str(v).strip(), len(labels)) for v in dict.fromkeys(keys)}
     codes = np.fromiter(map(table.__getitem__, keys), dtype, len(keys))
     return np.repeat(codes, np.diff(starts, append=n))
+
+
+def _label_codes(canonical):
+    """A label dict that codes canonical's labels first, and the array of their
+    canonical codes and a final -1, which take(mode="clip") gives any later label."""
+    return (dict(zip(canonical, range(len(canonical)))),
+            np.array([*canonical.values(), -1], dtype=np.int8))
 
 
 def _voxel_table(tumor, cohort, timepoint, adc, ids, path):
@@ -338,17 +337,20 @@ def _csv_chunks(path, columns):
     A chunk of plain lines (ASCII, with no quote or NUL, and every CR
     followed by LF) is split with numpy, and its fields are ASCII bytes.
     From the first chunk that is not plain to the end of the file,
-    csv.reader reads the records, and their fields are str objects.
+    csv.reader reads the records, and their fields are str objects. A
+    UTF-8 byte-order mark before the header is dropped.
     """
     with open(path, "rb") as fh:
         header = fh.readline()
+        bom = len(codecs.BOM_UTF8) if header.startswith(codecs.BOM_UTF8) else 0
+        header = header[bom:]
         if not header or _split_plain(header) is None:
-            fh.seek(0)
+            fh.seek(bom)
             yield from _reader_chunks(path, fh, 0, columns, None)
             return
         text = header.rstrip(b"\r\n").decode()
         wanted = _wanted(path, columns, text.split(",") if text else [])
-        offset, base = len(header), 1
+        offset, base = bom + len(header), 1
         while lines := list(islice(fh, _CHUNK_ROWS)):
             buf = b"".join(lines)
             chunk = _plain_chunk(buf, base, columns, wanted)
@@ -362,10 +364,10 @@ def _csv_chunks(path, columns):
 
 
 def _wanted(path, columns, header):
-    """Index of each requested column in the header's field names."""
+    """Index of each requested column in the header's stripped field names."""
     if header is None:
         raise InputError(f"{path}: empty file")
-    index = {name: i for i, name in enumerate(header)}
+    index = {name.strip(): i for i, name in enumerate(header)}
     missing = [c for c in columns if c not in index]
     if missing:
         raise InputError(f"{path}: missing columns {missing}")
@@ -506,7 +508,7 @@ def _float_error(value):
 
 def _voxel_problem(timepoint, cohort, adc):
     """Why a voxel was rejected, by the first check its raw fields fail."""
-    if timepoint.strip() not in _TIMEPOINT_LABELS:
+    if timepoint.strip() not in _TIMEPOINT_CODES:
         return f"unknown timepoint {timepoint!r}"
     message = _float_error(adc)
     if message is not None:
@@ -526,12 +528,14 @@ def load_voxel_csv(path) -> VoxelLoadResult:
     A tumor listed under both cohorts raises InputError.
     """
     errors = []
-    index = {}  # tumor id -> code
+    tumors = {}  # tumor id -> code
+    cohorts, cohort_of = _label_codes(_COHORT_CODES)
+    timepoints, timepoint_of = _label_codes(_TIMEPOINT_CODES)
     parts = [[], [], [], []]
     for lines, (tumor, cohort, timepoint, adc), short in _csv_chunks(path, _VOXEL_COLUMNS):
-        t = _codes(timepoint, lambda v: _TIMEPOINT_CODES.get(v.strip(), -1), np.int8)
-        c = _codes(cohort, lambda v: _COHORT_CODES.get(v.strip(), -1), np.int8)
-        k = _codes(tumor, lambda v: index.setdefault(v.strip(), len(index)), np.int32)
+        t = timepoint_of.take(_codes(timepoint, timepoints, np.int32), mode="clip")
+        c = cohort_of.take(_codes(cohort, cohorts, np.int32), mode="clip")
+        k = _codes(tumor, tumors, np.int32)
         x, _ = _floats(adc)
         ok = (t >= 0) & (c >= 0) & np.isfinite(x) & (x > 0)
         bad = np.flatnonzero(~ok)
@@ -543,7 +547,7 @@ def load_voxel_csv(path) -> VoxelLoadResult:
     # popped, so each column's chunks are freed once they are joined
     k, c, t, x = (_cat(parts.pop(0), dtype)
                   for dtype in (np.int32, np.int8, np.int8, float))
-    table = _voxel_table(k, c, t, x, list(index), path)
+    table = _voxel_table(k, c, t, x, list(tumors), path)
     return VoxelLoadResult(records=table, errors=errors)
 
 
@@ -568,8 +572,11 @@ def load_signal_csv(path) -> VoxelLoadResult:
     of their first row.
     """
     errors = []
-    groups = {}  # (tumor_id, cohort, timepoint, voxel_id) -> group code
-    parts = [[], [], [], []]  # per row: group code, b, signal; per group: first line
+    tumors, voxels = {}, {}  # tumor id -> code, voxel id -> code
+    cohorts, cohort_of = _label_codes(_COHORT_CODES)
+    timepoints, timepoint_of = _label_codes(_TIMEPOINT_CODES)
+    groups = {}  # (tumor, cohort, timepoint, voxel) codes -> group code
+    parts = [[] for _ in range(7)]  # per row: group, b, signal; per group: line, labels
     for lines, (*key, b_raw, s_raw), short in _csv_chunks(path, _SIGNAL_COLUMNS):
         b, b_bad = _floats(b_raw)
         s, s_bad = _floats(s_raw)
@@ -578,34 +585,32 @@ def load_signal_csv(path) -> VoxelLoadResult:
         bad = zip(lines[bad].tolist(), *(map(_str, f[bad].tolist()) for f in (b_raw, s_raw)))
         errors.extend(sorted(short + [(line, _float_error(b) or _float_error(s))
                                       for line, b, s in bad]))
+        label = np.array([_codes(column[ok], labels, np.int32) for column, labels
+                        in zip(key, (tumors, cohorts, timepoints, voxels))])
+        starts = np.flatnonzero(np.diff(label, prepend=-1).any(axis=0))
         known = len(groups)
-        g = _codes(tuple(column[ok] for column in key),
-                   lambda v: groups.setdefault(tuple(map(str.strip, v)), len(groups)),
-                   np.int64)
+        runs = zip(*label[:, starts].tolist())  # the label codes of each run of equal rows
+        g = np.fromiter((groups.setdefault(v, len(groups)) for v in runs), np.int64, len(starts))
+        g = np.repeat(g, np.diff(starts, append=label.shape[1]))
         code, first = np.unique(g, return_index=True)
         # codes follow first appearance: the chunk's new groups start at their first rows
+        first = first[code >= known]
         for part, column in zip(parts, (g.astype(_narrowest(len(groups))), b[ok], s[ok],
-                                        lines[ok][first[code >= known]])):
+                                        lines[ok][first], *label[:3, first])):
             part.append(column)
-    # each group's tumor id, cohort and timepoint; the keys and voxel ids are
-    # freed before the fit
-    fields = list(zip(*groups)) or [()] * 4
-    groups.clear()
-    tumor, cohort, timepoint = (np.array(f, dtype=object) for f in fields[:3])
-    del fields
+    del groups, voxels  # freed before the fit
     # popped, so each column's chunks are freed once they are joined
-    group, b, s, first_line = (_cat(parts.pop(0), dtype)
-                               for dtype in (np.int8, float, float, np.intp))
-    adc, problem = _fit_groups(group, b, s, len(tumor))
-    t = _codes(timepoint, lambda v: _TIMEPOINT_CODES.get(v, -1), np.int8)
-    c = _codes(cohort, lambda v: _COHORT_CODES.get(v, -1), np.int8)
-    ok = (problem == 0) & (t >= 0) & (c >= 0) & np.isfinite(adc) & (adc > 0)
+    group, b, s, first_line, k, c, t = (
+        _cat(parts.pop(0), dtype)
+        for dtype in (np.int8, float, float, np.intp, np.int32, np.int32, np.int32))
+    adc, problem = _fit_groups(group, b, s, len(first_line))
+    tc, cc = timepoint_of.take(t, mode="clip"), cohort_of.take(c, mode="clip")
+    ok = (problem == 0) & (tc >= 0) & (cc >= 0) & np.isfinite(adc) & (adc > 0)
+    timepoints, cohorts = list(timepoints), list(cohorts)  # labels in code order
     errors.extend((int(first_line[j]), _GROUP_PROBLEMS[problem[j]] if problem[j]
-                   else _voxel_problem(timepoint[j], cohort[j], repr(float(adc[j]))))
+                   else _voxel_problem(timepoints[t[j]], cohorts[c[j]], repr(float(adc[j]))))
                   for j in np.flatnonzero(~ok))
-    index = {}
-    k = _codes(tumor, lambda v: index.setdefault(v, len(index)), np.int32)
-    table = _voxel_table(k[ok], c[ok], t[ok], adc[ok], list(index), path)
+    table = _voxel_table(k[ok], cc[ok], tc[ok], adc[ok], list(tumors), path)
     return VoxelLoadResult(records=table, errors=errors)
 
 

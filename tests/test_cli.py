@@ -273,6 +273,55 @@ class TestIngest:
         assert not (tmp_path / "out" / "histograms").exists()
 
 
+class TestStaleHistograms:
+    """ingest and synth refuse an --out-dir whose histograms/ holds a histogram
+    they would not overwrite, as every later subcommand would read it."""
+
+    def _voxels(self, tmp_path, tumors):
+        path = tmp_path / f"{len(tumors)}.csv"
+        path.write_text("tumor_id,cohort,timepoint,adc\n" + "".join(
+            f"{t},control,0,0.001\n{t},control,72,0.002\n" for t in tumors))
+        return path
+
+    def test_ingest_refuses_stale_histogram(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["ingest", "--voxels", self._voxels(tmp_path, ["t1", "t2"]),
+                    "--out-dir", out]) == 0
+        summary = (out / "ingest_summary.json").read_bytes()
+        capsys.readouterr()
+        assert run(["ingest", "--voxels", self._voxels(tmp_path, ["t1"]),
+                    "--out-dir", out]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"input error: {out / 'histograms' / 't2.json'} holds a histogram "
+            f"this run would not overwrite")
+        assert (out / "ingest_summary.json").read_bytes() == summary
+
+    def test_ingest_rerun_over_same_tumors_overwrites(self, tmp_path):
+        out = tmp_path / "run"
+        path = self._voxels(tmp_path, ["t1", "t2"])
+        assert run(["ingest", "--voxels", path, "--out-dir", out]) == 0
+        (out / "histograms" / "notes.json").write_text('{"comment": "kept"}\n')
+        first = (out / "histograms" / "t2.json").read_bytes()
+        assert run(["ingest", "--voxels", path, "--out-dir", out, "--bins", "16"]) == 0
+        assert (out / "histograms" / "t2.json").read_bytes() != first
+        assert sorted(p.name for p in (out / "histograms").iterdir()) == [
+            "notes.json", "t1.json", "t2.json"]
+
+    def test_synth_refuses_stale_histogram(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["synth", "--preset", "hct_like", "--out-dir", out]) == 0
+        truth = (out / "ground_truth.json").read_bytes()
+        assert run(["synth", "--preset", "hct_like", "--out-dir", out]) == 0
+        capsys.readouterr()
+        assert run(["synth", "--preset", "lovo_like", "--emit-voxels",
+                    "--out-dir", out]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"input error: {out / 'histograms' / 'ctl09.json'} holds a histogram "
+            f"this run would not overwrite")
+        assert (out / "ground_truth.json").read_bytes() == truth
+        assert not (out / "voxels.csv").exists()
+
+
 class TestExitCodes:
     def test_missing_file_is_input_error(self, tmp_path):
         assert run(["ingest", "--voxels", tmp_path / "nope.csv",

@@ -392,6 +392,37 @@ class TestVoxelCsv:
         assert loaded.records.tumor_ids == ("t1",)
         assert [line for line, _ in loaded.errors] == [3]
 
+    @pytest.mark.parametrize("header", ["\ufefftumor_id,cohort,timepoint,adc",
+                                        '\ufeff"tumor_id",cohort,timepoint,adc',
+                                        "tumor_id, cohort,\ttimepoint , adc"],
+                             ids=["bom", "bom-quoted", "spaces"])
+    def test_header_read_as_rows_are(self, tmp_path, header):
+        path = tmp_path / "voxels.csv"
+        path.write_text(f"{header}\nt1,control,0,0.001\nt1,control,0,x\n", encoding="utf-8")
+        loaded = load_voxel_csv(path)
+        assert loaded.records.tumor_ids == ("t1",)
+        assert loaded.errors == [(3, "could not convert string to float: 'x'")]
+
+    def test_more_unknown_labels_than_int8_codes(self, tmp_path):
+        path = tmp_path / "voxels.csv"
+        path.write_text("tumor_id,cohort,timepoint,adc\n" + "".join(
+            f"t1,c{k},0,0.001\nt1,control,w{k},0.001\n" for k in range(200))
+            + "t1,control,0,0.001\n")
+        loaded = load_voxel_csv(path)
+        assert len(loaded.records) == 1
+        assert loaded.errors == [
+            (2 + j, f"unknown cohort 'c{j // 2}'" if j % 2 == 0 else
+             f"unknown timepoint 'w{j // 2}'") for j in range(400)]
+
+    def test_byte_order_mark_keeps_plain_chunks(self, tmp_path, monkeypatch):
+        def reader_chunks(*args):
+            raise AssertionError("csv.reader path taken")
+
+        monkeypatch.setattr(histograms, "_reader_chunks", reader_chunks)
+        path = tmp_path / "voxels.csv"
+        path.write_bytes(b"\xef\xbb\xbftumor_id,cohort,timepoint,adc\r\nt1,control,0,0.001\r\n")
+        assert load_voxel_csv(path).records.adc.tolist() == [0.001]
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "voxels.csv"
         path.write_text("tumor_id,cohort,adc\nt1,control,0.001\n")
@@ -446,6 +477,31 @@ class TestSignalCsv:
                                  (8, "missing fields ['b', 'signal']"),
                                  (3, "need at least 2 distinct b-values"),
                                  (6, "unknown timepoint '48'")]
+
+    def test_more_unknown_labels_than_int8_codes(self, tmp_path):
+        path = tmp_path / "signals.csv"
+        path.write_text("tumor_id,cohort,timepoint,voxel_id,b,signal\n" + "".join(
+            f"t1,{cohort},{timepoint},v1,0,1000\nt1,{cohort},{timepoint},v1,500,600\n"
+            for k in range(200) for cohort, timepoint in ((f"c{k}", 0), ("control", f"w{k}")))
+            + "t1,control,0,v1,0,1000\nt1,control,0,v1,500,600\n")
+        loaded = load_signal_csv(path)
+        assert len(loaded.records) == 1
+        assert loaded.errors == [
+            (2 + 2 * j, f"unknown cohort 'c{j // 2}'" if j % 2 == 0 else
+             f"unknown timepoint 'w{j // 2}'") for j in range(400)]
+
+    @pytest.mark.parametrize("header", ["\ufefftumor_id,cohort,timepoint,voxel_id,b,signal",
+                                        "\ufefftumor_id,cohort,timepoint,voxel_id,b,\"signal\"",
+                                        " tumor_id,cohort , timepoint,voxel_id,\tb,signal "],
+                             ids=["bom", "bom-quoted", "spaces"])
+    def test_header_read_as_rows_are(self, tmp_path, header):
+        path = tmp_path / "signals.csv"
+        path.write_text(f"{header}\nt1,control,0,v1,0,1000\nt1,control,0,v1,500,x\n"
+                        "t1,control,0,v1,1000,370\n", encoding="utf-8")
+        loaded = load_signal_csv(path)
+        assert loaded.records.tumor_ids == ("t1",)
+        assert loaded.records.adc[0] == pytest.approx(math.log(1000 / 370) / 1000)
+        assert loaded.errors == [(3, "could not convert string to float: 'x'")]
 
     @pytest.mark.parametrize("tumor_id", ["../escaped", "", "..", "a/b", "t\0"])
     def test_unsafe_tumor_id_rejected(self, tmp_path, tumor_id):

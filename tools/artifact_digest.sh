@@ -8,8 +8,9 @@
 # synth --emit-voxels, ingest of the emitted voxels, select --k-max 5,
 # train 3+2 and 3+0, fit of both cohorts, validate, baseline and report.
 # Beside it, ingest --signals reads signals.csv, which the script writes:
-# 12 voxels at 4 b-values each, one signal that does not parse and one
-# voxel with a single b-value, so the digest also covers the rejections.
+# 12 voxels at 4 b-values each, one signal that does not parse, one voxel
+# with a single b-value, and one voxel whose rows another voxel's row
+# splits, so the digest also covers the rejections and a split group.
 # select and validate run once more with --jobs 2 (into select_jobs2 and
 # validate_jobs2), so the digest also covers the process-pool path; the
 # script exits 1 after the digest if those differ from select and validate
@@ -47,7 +48,9 @@ awk 'BEGIN {
                     printf "s%d,%s,%d,v%d,%d,%.3f\n", t, t == 1 ? "control" : "treated",
                         h, v, b[i], 1000 * exp(-b[i] * (0.0007 + 0.0001 * (v + t + h / 36)))
     print "s1,control,0,v4,0,n/a"
+    print "s1,control,72,v6,0,1000"
     print "s2,treated,72,v5,500,420.5"
+    print "s1,control,72,v6,1000,310.5"
 }' >"$out/signals.csv"
 lpm ingest --signals "$out/signals.csv" --out-dir "$out/ingest_signals"
 sweeps() {  # <jobs> <out-dir suffix>
