@@ -15,15 +15,8 @@ import numpy as np
 from .errors import InputError
 from .histograms import Histogram2D
 
-# the per-tumor changes, in the order summary_change returns them
+# the per-tumor changes, in the order of summarise's rows and summary_change
 MEASURES = ("volume_change", "mean_adc_change", "iqr_change")
-
-
-@dataclass
-class TimepointSummary:
-    volume: tuple  # voxel counts, (baseline, followup)
-    mean_adc: tuple
-    iqr_adc: tuple
 
 
 @dataclass
@@ -35,7 +28,7 @@ class TTestResult:
 
 
 def _binned_quantile(counts, centers, p):
-    """Quantile of a binned distribution, atoms at bin centers.
+    """Quantiles p of a binned distribution, atoms at bin centers.
 
     Inverts the cumulative distribution with linear interpolation between
     successive occupied bins; a single occupied bin yields that center for
@@ -44,32 +37,29 @@ def _binned_quantile(counts, centers, p):
     nz = np.flatnonzero(counts)
     cum = np.cumsum(counts[nz]) / counts[nz].sum()
     xs = centers[nz]
-    return float(np.interp(p, np.concatenate(([0.0], cum)),
-                           np.concatenate(([xs[0]], xs))))
+    return np.interp(p, np.concatenate(([0.0], cum)),
+                     np.concatenate(([xs[0]], xs)))
 
 
-def summarise(h: Histogram2D) -> TimepointSummary:
-    """Volume, mean ADC and IQR per timepoint from the binned counts."""
+def summarise(h: Histogram2D) -> np.ndarray:
+    """Volume, mean ADC and IQR (rows, in MEASURES order) at baseline and
+    follow-up (columns), from the binned counts."""
     centers = h.binning.centers
-    volumes, means, iqrs = [], [], []
+    s = np.empty((3, 2))
     for t in range(2):
         col = h.counts[:, t].astype(float)
         total = col.sum()
         if total == 0:
             raise InputError(f"tumor {h.tumor_id}: no counts at timepoint {t}")
-        volumes.append(float(total))
-        means.append(float(np.dot(col, centers) / total))
-        iqrs.append(_binned_quantile(col, centers, 0.75)
-                    - _binned_quantile(col, centers, 0.25))
-    return TimepointSummary(volume=tuple(volumes), mean_adc=tuple(means),
-                            iqr_adc=tuple(iqrs))
+        lower, upper = _binned_quantile(col, centers, (0.25, 0.75))
+        s[:, t] = total, np.dot(col, centers) / total, upper - lower
+    return s
 
 
 def summary_change(h: Histogram2D) -> np.ndarray:
     """Follow-up minus baseline of each summary, in MEASURES order."""
     s = summarise(h)
-    return np.array([s.volume[1] - s.volume[0], s.mean_adc[1] - s.mean_adc[0],
-                     s.iqr_adc[1] - s.iqr_adc[0]])
+    return s[:, 1] - s[:, 0]
 
 
 def welch_t_test(control_changes, treated_changes) -> TTestResult:

@@ -81,9 +81,9 @@ class ComponentPmf:
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=float)
-        if np.any(self.probs < 0):
+        if not np.all(self.probs >= 0):  # also rejects nan
             raise ValueError("PMF cells must be non-negative")
-        if abs(self.probs.sum() - 1.0) > 1e-9:
+        if not abs(self.probs.sum() - 1.0) <= 1e-9:
             raise ValueError(f"PMF must sum to 1, got {self.probs.sum()}")
 
 
@@ -116,10 +116,10 @@ class LpmModel:
         if not 1 <= self.n_control <= P.shape[1]:
             raise ValueError(f"need 1 <= n_control <= {P.shape[1]}, "
                              f"got {self.n_control}")
-        if np.any(P < 0):
+        if not np.all(P >= 0):  # also rejects nan
             raise ValueError("PMF cells must be non-negative")
         sums = P.sum(axis=0)
-        if np.any(np.abs(sums - 1.0) > 1e-9):
+        if not np.all(np.abs(sums - 1.0) <= 1e-9):
             raise ValueError(f"PMF columns must sum to 1, got {sums}")
         P.flags.writeable = False
         self.P = P

@@ -30,7 +30,7 @@ class SynthSpec:
     def __post_init__(self):
         if not self.control_pmfs:
             raise ValueError("need at least one control PMF")
-        if self.counts_per_tumor <= 0:
+        if not self.counts_per_tumor > 0:  # also rejects nan
             raise ValueError("counts_per_tumor must be > 0")
         k = len(self.control_pmfs) + len(self.treatment_pmfs)
         if self.quantity_dirichlet_alpha is None:
@@ -39,7 +39,7 @@ class SynthSpec:
                                                    dtype=float)
         if self.quantity_dirichlet_alpha.shape != (k,):
             raise ValueError(f"need {k} Dirichlet alphas")
-        if np.any(self.quantity_dirichlet_alpha <= 0):
+        if not np.all(self.quantity_dirichlet_alpha > 0):
             raise ValueError("Dirichlet alphas must be positive")
 
 

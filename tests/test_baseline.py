@@ -31,16 +31,16 @@ class TestSummarise:
         h = make_hist(small_binning, col0, col1)
         s = summarise(h)
         c = small_binning.centers
-        assert s.volume == (10.0, 10.0)
-        assert s.mean_adc[0] == pytest.approx(c[2])
-        assert s.mean_adc[1] == pytest.approx((c[2] + c[4]) / 2)
+        assert tuple(s[0]) == (10.0, 10.0)
+        assert s[1, 0] == pytest.approx(c[2])
+        assert s[1, 1] == pytest.approx((c[2] + c[4]) / 2)
 
     def test_single_bin_has_zero_iqr(self, small_binning):
         col = np.zeros(8, dtype=int)
         col[3] = 7
         h = make_hist(small_binning, col, col)
         s = summarise(h)
-        assert s.iqr_adc == (0.0, 0.0)
+        assert tuple(s[2]) == (0.0, 0.0)
 
     def test_wider_spread_wider_iqr(self, small_binning):
         narrow = np.zeros(8, dtype=int)
@@ -49,7 +49,7 @@ class TestSummarise:
         wide = np.full(8, 5)
         h = make_hist(small_binning, narrow, wide)
         s = summarise(h)
-        assert s.iqr_adc[1] > s.iqr_adc[0]
+        assert s[2, 1] > s[2, 0]
 
     def test_empty_timepoint_undefined(self, small_binning):
         col = np.zeros(8, dtype=int)

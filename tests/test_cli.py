@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -177,6 +178,16 @@ class TestModelFile:
         err = capsys.readouterr().err
         assert str(path) in err and "n_adc_bins" in err
 
+    def test_nan_pmf_cell_is_input_error(self, pipeline, tmp_path, capsys):
+        model = json.loads((pipeline / "model.json").read_text())
+        model["components"][0]["probs"][0][0] = float("nan")
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        assert run(["fit", "--model", path, "--histograms",
+                    pipeline / "histograms", "--out-dir", tmp_path]) == 2
+        assert f"{path}: malformed model" in capsys.readouterr().err
+        assert not list(tmp_path.glob("response_*.csv"))
+
     def test_truncated_model_is_input_error(self, pipeline, tmp_path, capsys):
         path = tmp_path / "model.json"
         path.write_text((pipeline / "model.json").read_text()[:100])
@@ -271,6 +282,31 @@ class TestIngest:
         assert capsys.readouterr().err == (f"input error: {path}: line 3: field "
                                            f"larger than field limit ({limit})\n")
         assert not (tmp_path / "out" / "histograms").exists()
+
+
+class TestValidate:
+    def test_outlier_is_named_and_flagged(self, tmp_path, capsys):
+        """A control that carries a treated tumor's counts is the one outlier."""
+        out = tmp_path / "synth"
+        assert run(["synth", "--preset", "lovo_like", "--seed", "1",
+                    "--out-dir", out]) == 0
+        hists = out / "histograms"
+        planted = json.loads((hists / "ctl08.json").read_text())
+        planted["counts"] = json.loads((hists / "trt05.json").read_text())["counts"]
+        (hists / "ctl08.json").write_text(json.dumps(planted))
+        capsys.readouterr()
+        assert run(["validate", "--histograms", hists, "--n-control", "3",
+                    "--n-treatment", "2", "--restarts", "1", "--seed", "3",
+                    "--out-dir", tmp_path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "8 folds, 1 outlier flags"
+        assert re.fullmatch(r"  outlier ctl08: leave-one-out z=\d+\.\d\d >= 2\.0 "
+                            r"and exceeds leave-all-in z=\d+\.\d\d", lines[1]), lines
+        assert len(lines) == 2
+        with open(tmp_path / "loo_report.csv", newline="") as fh:
+            fh.readline()
+            flags = {r["tumor_id"]: r["outlier_flag"] for r in csv.DictReader(fh)}
+        assert [t for t, flag in flags.items() if flag == "1"] == ["ctl08"]
 
 
 class TestStaleHistograms:

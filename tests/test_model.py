@@ -30,6 +30,12 @@ class TestComponentPmf:
         with pytest.raises(ValueError):
             ComponentPmf(probs=g, phase="control", index=0)
 
+    def test_nan_cell_rejected(self, small_binning):
+        g = np.full((8, 2), 1.0 / 16)
+        g[0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-negative"):
+            ComponentPmf(probs=g, phase="control", index=0)
+
 
 class TestLpmModel:
     def test_phase_ordering_enforced(self, small_binning):
@@ -58,6 +64,13 @@ class TestLpmModel:
         neg[0, 0], neg[1, 0] = -neg[0, 0], neg[1, 0] + 2 * neg[0, 0]
         with pytest.raises(ValueError):
             LpmModel(P=neg, n_control=2, binning=small_binning)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_cell_rejected(self, small_binning, value):
+        P = make_model(small_binning, n_control=2).P.copy()
+        P[0, 0] = value
+        with pytest.raises(ValueError, match="PMF"):
+            LpmModel(P=P, n_control=2, binning=small_binning)
 
     def test_pmf_matrix_read_only(self, small_binning):
         m = make_model(small_binning, n_control=2)

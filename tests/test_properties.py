@@ -569,3 +569,26 @@ def test_voxel_loader_matches_csv_reader_reference(case):
 @given(csv_files(signals=True))
 def test_signal_loader_matches_csv_reader_reference(case):
     _assert_loader_matches_reference(load_signal_csv, reference_signals, *case)
+
+
+def _reader_chunks_not_taken(*args):
+    raise AssertionError("csv.reader path taken")
+
+
+@pytest.mark.parametrize("load, reference, text", [
+    (load_voxel_csv, reference_voxels,
+     "tumor_id,cohort,timepoint,adc\nt1,control,0,0.001\nt2,treated,72,0.002"),
+    (load_voxel_csv, reference_voxels,
+     "tumor_id,cohort,timepoint,adc\r\nt1,control,0,0.001\r\nt1,control,72,"),
+    (load_signal_csv, reference_signals,
+     "tumor_id,cohort,timepoint,voxel_id,b,signal\n"
+     "t1,control,0,v1,0,1000\nt1,control,0,v1,500,600"),
+    (load_signal_csv, reference_signals,
+     "tumor_id,cohort,timepoint,voxel_id,b,signal\n"
+     "t1,control,0,v1,0,1000\nt1,control,0,v1,500,600\nt1,control,0,v1,1000,"),
+], ids=["voxels", "voxels-truncated-field", "signals", "signals-truncated-field"])
+@pytest.mark.parametrize("chunk", [1, 2, 2048])
+def test_plain_loaders_read_a_last_record_without_line_break(monkeypatch, load,
+                                                             reference, text, chunk):
+    monkeypatch.setattr(histograms, "_reader_chunks", _reader_chunks_not_taken)
+    _assert_loader_matches_reference(load, reference, text, chunk)

@@ -41,6 +41,20 @@ class TestSynthSpec:
             SynthSpec(binning=binning, control_pmfs=ctrl, treatment_pmfs=[],
                       cohort_sizes=(2, 0), counts_per_tumor=0.0)
 
+    def test_nan_counts_rejected(self, binning):
+        ctrl, _ = spread_components(binning, 2, 0)
+        with pytest.raises(ValueError, match="counts_per_tumor must be > 0"):
+            SynthSpec(binning=binning, control_pmfs=ctrl, treatment_pmfs=[],
+                      cohort_sizes=(2, 0), counts_per_tumor=np.nan)
+
+    @pytest.mark.parametrize("alpha", [0.0, np.nan])
+    def test_positive_alphas_required(self, binning, alpha):
+        ctrl, trt = spread_components(binning, 2, 1)
+        with pytest.raises(ValueError, match="Dirichlet alphas must be positive"):
+            SynthSpec(binning=binning, control_pmfs=ctrl, treatment_pmfs=trt,
+                      cohort_sizes=(2, 2),
+                      quantity_dirichlet_alpha=np.array([1.0, alpha, 1.0]))
+
     def test_needs_control_pmfs(self, binning):
         with pytest.raises(ValueError):
             SynthSpec(binning=binning, control_pmfs=[], treatment_pmfs=[],
