@@ -8,26 +8,23 @@ byte-identical outputs.
 
 Exit codes: 0 success, 1 analysis-level failure, 2 input error.
 
-Only the histogram layer, and with it numpy, is imported at start-up; each
-subcommand imports the layers it runs, so ``lpm --help`` and ``lpm ingest``
-load no model, inference, selection, validation, baseline, synth or plotting
-code.
+The front end (argument parsing, --config, the run header and dispatch) loads
+no lpm module but lpm.errors, and no numpy, so ``lpm --help`` and a usage or
+config error print at once. Each subcommand imports the layers it runs, so
+``lpm ingest`` loads no model, inference, selection, validation, baseline,
+synth or plotting code.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import sys
 from itertools import chain
 from pathlib import Path
 
 from .errors import AnalysisError, InputError
-from .histograms import (COHORTS, BinningConfig, Histogram2D, bin_voxels,
-                         load_signal_csv, load_voxel_csv,
-                         write_histogram_json, write_json, write_voxel_csv)
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
@@ -47,6 +44,7 @@ RESPONSE_COLUMNS = ("tumor_id", "z", "p_two_tailed", "effect_fraction",
 
 def _meta(args) -> dict:
     """The run seed and a hash of every parsed argument that shapes results."""
+    import hashlib
     payload = {k: v for k, v in vars(args).items() if k not in _UNHASHED_ARGS}
     digest = hashlib.sha256(json.dumps(payload, sort_keys=True,
                                        default=str).encode()).hexdigest()[:16]
@@ -67,6 +65,7 @@ def _load_cohorts(directory) -> dict:
     (ingest summaries, ground truth, models) are skipped. Tumor ids must be
     unique and every cohort one of COHORTS.
     """
+    from .histograms import COHORTS, Histogram2D
     cohorts = {label: [] for label in COHORTS}
     files = {}  # tumor_id -> file
     for p in sorted(Path(directory).glob("*.json")):
@@ -117,7 +116,8 @@ def _histogram_dir(out: Path, tumor_ids) -> Path:
     return hist_dir
 
 
-def _binning_from_args(args) -> BinningConfig:
+def _binning_from_args(args):
+    from .histograms import BinningConfig
     return BinningConfig(adc_min=args.adc_min, adc_max=args.adc_max,
                          n_adc_bins=args.bins)
 
@@ -129,6 +129,8 @@ def _train_options(args):
 
 
 def cmd_ingest(args, out: Path, meta: dict) -> int:
+    from .histograms import (bin_voxels, load_signal_csv, load_voxel_csv,
+                             write_histogram_json, write_json)
     if bool(args.voxels) == bool(args.signals):
         raise InputError("ingest needs exactly one of --voxels and --signals")
     config = _binning_from_args(args)
@@ -155,6 +157,7 @@ def cmd_ingest(args, out: Path, meta: dict) -> int:
 
 
 def cmd_synth(args, out: Path, meta: dict) -> int:
+    from .histograms import write_histogram_json, write_json, write_voxel_csv
     from .synth import default_scenarios, generate, histogram_to_voxels
     scenarios = default_scenarios(seed=args.seed)
     if args.preset not in scenarios:

@@ -152,12 +152,25 @@ def _label_codes(canonical):
             np.array([*canonical.values(), -1], dtype=np.int8))
 
 
+def check_tumor_id(tumor_id, where=""):
+    """Raise InputError, its message prefixed with where, unless tumor_id is a
+    str that can name its histogram file and is not "combined", the name of
+    the cohort row in response_*.csv."""
+    if not isinstance(tumor_id, str):
+        raise InputError(f"{where}tumor id must be a string, got {tumor_id!r}")
+    if tumor_id in ("", ".", "..") or "/" in tumor_id or "\0" in tumor_id:
+        raise InputError(f"{where}tumor id {tumor_id!r} cannot name a histogram file")
+    if tumor_id == "combined":
+        raise InputError(f"{where}tumor id 'combined' is reserved for the cohort row "
+                         f"of response files")
+
+
 def _voxel_table(tumor, cohort, timepoint, adc, ids, path):
     """Assemble a VoxelTable, keeping only tumors that have voxels.
 
     cohort holds each voxel's cohort code; a tumor must have one cohort, and
-    its id must be able to name its histogram file. tumor is an int32 and
-    cohort and timepoint are int8 columns.
+    its id must pass check_tumor_id. tumor is an int32 and cohort and
+    timepoint are int8 columns.
     """
     n = np.bincount(tumor, minlength=len(ids))
     n_treated = np.bincount(tumor[cohort == 1], minlength=len(ids))
@@ -167,10 +180,8 @@ def _voxel_table(tumor, cohort, timepoint, adc, ids, path):
                          f"control and treated")
     keep = np.flatnonzero(n > 0)
     tumor_ids = tuple(ids[k] for k in keep)
-    unsafe = [t for t in tumor_ids if t in ("", ".", "..") or "/" in t or "\0" in t]
-    if unsafe:
-        raise InputError(f"{path}: tumor id {unsafe[0]!r} cannot name a "
-                         f"histogram file")
+    for tumor_id in tumor_ids:
+        check_tumor_id(tumor_id, f"{path}: ")
     code = np.zeros(len(ids), dtype=np.int32)
     code[keep] = np.arange(len(keep))
     return VoxelTable(tumor=code[tumor], timepoint=timepoint, adc=adc, tumor_ids=tumor_ids,
@@ -189,6 +200,12 @@ class Histogram2D:
     warnings: tuple = ()
 
     def __post_init__(self):
+        check_tumor_id(self.tumor_id)
+        if not isinstance(self.cohort, str):
+            raise InputError(f"cohort must be a string, got {self.cohort!r}")
+        if (isinstance(self.overflow, bool) or not isinstance(self.overflow, numbers.Integral)
+                or self.overflow < 0):
+            raise InputError(f"overflow must be an integer >= 0, got {self.overflow!r}")
         counts = np.asarray(self.counts)
         if counts.shape != (self.binning.n_adc_bins, 2):
             raise ValueError(f"counts shape {counts.shape} does not match binning")
@@ -222,7 +239,7 @@ class Histogram2D:
         return cls(tumor_id=d["tumor_id"], cohort=d["cohort"],
                    counts=d["counts"],
                    binning=BinningConfig.from_json_dict(d["binning"]),
-                   overflow=int(d.get("overflow", 0)),
+                   overflow=d.get("overflow", 0),
                    warnings=tuple(d.get("warnings", ())))
 
 

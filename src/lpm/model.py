@@ -42,6 +42,7 @@ control phase) through one restart loop, _train_phase.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,6 +155,9 @@ class LpmModel:
     @classmethod
     def from_json_dict(cls, d) -> "LpmModel":
         binning = BinningConfig.from_json_dict(d["binning"])
+        for key in ("n_control", "n_treatment"):  # a bool or float would pass the checks below
+            if isinstance(d[key], bool) or not isinstance(d[key], numbers.Integral):
+                raise ValueError(f"{key} must be an integer, got {d[key]!r}")
         comps = d["components"]
         probs = np.array([c["probs"] for c in comps], dtype=float)
         if probs.shape[1:] != (binning.n_adc_bins, 2):

@@ -585,6 +585,45 @@ class TestExitCodes:
         assert len(errors) == 1 and "malformed histogram" in errors[0], err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, name, key, value", [
+        pytest.param("baseline", "trt01.json", "tumor_id", ["x"], id="tumor-id-list"),
+        pytest.param("baseline", "trt01.json", "tumor_id", 5, id="tumor-id-number"),
+        pytest.param("baseline", "trt01.json", "tumor_id", None, id="tumor-id-null"),
+        pytest.param("baseline", "trt01.json", "tumor_id", "", id="tumor-id-empty"),
+        pytest.param("baseline", "trt01.json", "cohort", ["treated"], id="cohort-list"),
+        pytest.param("fit", "trt01.json", "tumor_id", "combined", id="tumor-id-combined"),
+        pytest.param("ingest", "voxels.csv", "tumor_id", "combined",
+                     id="voxel-tumor-id-combined"),
+        pytest.param("baseline", "trt01.json", "overflow", -5, id="overflow-negative"),
+        pytest.param("baseline", "trt01.json", "overflow", 2.5, id="overflow-fraction"),
+        pytest.param("baseline", "trt01.json", "overflow", True, id="overflow-bool"),
+        pytest.param("fit", "model.json", "n_control", True, id="n-control-bool"),
+        pytest.param("fit", "model.json", "n_treatment", 4.0, id="n-treatment-float"),
+    ])
+    def test_malformed_field_is_input_error_naming_its_file(
+            self, pipeline, tmp_path, capsys, command, name, key, value):
+        hists = tmp_path / "histograms"
+        shutil.copytree(pipeline / "histograms", hists)
+        model = tmp_path / "model.json"
+        trained = lpm_model.read_model_json(pipeline / "model.json")
+        # one control component, so that n_control true or n_treatment 4.0
+        # would pass the checks that compare them with the components
+        write_model_json(model, LpmModel(P=trained.P, n_control=1, binning=trained.binning))
+        path = hists / name if name.startswith("trt") else tmp_path / name
+        if name == "voxels.csv":
+            path.write_text(f"tumor_id,cohort,timepoint,adc\n{value},treated,0,0.001\n")
+        else:
+            d = json.loads(path.read_text())
+            d[key] = value
+            path.write_text(json.dumps(d))
+        argv = {"baseline": ["baseline", "--histograms", hists],
+                "fit": ["fit", "--model", model, "--histograms", hists],
+                "ingest": ["ingest", "--voxels", path]}[command]
+        assert run(argv + ["--out-dir", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert f"input error: {path}: " in err and "Traceback" not in err, err
+        assert not list((tmp_path / "out").glob("*.*"))
+
     def test_negative_treatment_count_is_rejected_before_training(
             self, pipeline, tmp_path, monkeypatch):
         def train_control(*args):
@@ -760,6 +799,21 @@ class TestStartup:
         assert not {f"lpm.{m}" for m in ("model", "inference", "selection", "validation",
                                          "baseline", "synth", "svgplots")} & set(loaded)
         assert (tmp_path / "out" / "histograms" / "t1.json").is_file()
+
+    def test_front_end_loads_no_numpy_histograms_or_hashlib(self, tmp_path):
+        (tmp_path / "bad.cfg").write_text("seed 3\n")
+        code = ("import lpm.cli\n"
+                "codes = []\n"
+                "for argv in (['--help'], ['fit'],\n"
+                "             ['baseline', '--histograms', 'h', '--config', 'bad.cfg']):\n"
+                "    try:\n"
+                "        codes.append(lpm.cli.main(argv))\n"
+                "    except SystemExit as exc:\n"
+                "        codes.append(exc.code)\n"
+                "assert codes == [0, 2, 2], codes")
+        assert _modules_after(tmp_path, code, "numpy") == []
+        assert "lpm.histograms" not in _modules_after(tmp_path, code, "lpm")
+        assert _modules_after(tmp_path, code, "_hashlib") == []
 
     def test_every_export_resolves(self, tmp_path):
         code = ("import importlib, lpm\n"
