@@ -6,7 +6,8 @@ subcommand then loads its inputs once, computes, and writes every artifact
 once with that header embedded, so identical configurations produce
 byte-identical outputs.
 
-Exit codes: 0 success, 1 analysis-level failure, 2 input error.
+Exit codes: 0 success, 1 analysis-level failure, 2 input error. Only main
+sets them: a subcommand returns nothing or raises AnalysisError or InputError.
 
 The front end (argument parsing, --config, the run header and dispatch) loads
 no lpm module but lpm.errors, and no numpy, so ``lpm --help`` and a usage or
@@ -24,7 +25,7 @@ import sys
 from itertools import chain
 from pathlib import Path
 
-from .errors import AnalysisError, InputError
+from .errors import AnalysisError, InputError, read_input
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
@@ -65,19 +66,13 @@ def _load_cohorts(directory) -> dict:
     (ingest summaries, ground truth, models) are skipped. Tumor ids must be
     unique and every cohort one of COHORTS.
     """
-    from .histograms import COHORTS, Histogram2D
+    from .histograms import COHORTS
     cohorts = {label: [] for label in COHORTS}
     files = {}  # tumor_id -> file
     for p in sorted(Path(directory).glob("*.json")):
-        d = _histogram_dict(p)
-        if d is None:
+        h = read_input(p, "histogram", _histogram_or_none)
+        if h is None:
             continue
-        try:
-            h = Histogram2D.from_json_dict(d)
-        except KeyError as exc:
-            raise InputError(f"{p}: histogram lacks key {exc}") from None
-        except (ValueError, TypeError) as exc:
-            raise InputError(f"{p}: malformed histogram: {exc}") from None
         if h.cohort not in cohorts:
             raise InputError(f"{p}: cohort {h.cohort!r} is not one of {COHORTS}")
         if h.tumor_id in files:
@@ -90,26 +85,26 @@ def _load_cohorts(directory) -> dict:
     return cohorts
 
 
-def _histogram_dict(p):
-    """The JSON object of file p when it has a "counts" key, else None."""
-    try:
-        with open(p) as fh:
-            d = json.load(fh)
-    except ValueError as exc:
-        raise InputError(f"{p}: not valid JSON: {exc}") from None
-    return d if isinstance(d, dict) and "counts" in d else None
+def _histogram_or_none(fh):
+    """The histogram of JSON file fh, or None when it holds no object with a
+    "counts" key."""
+    from .histograms import Histogram2D
+    d = json.load(fh)
+    return Histogram2D.from_json_dict(d) if isinstance(d, dict) and "counts" in d else None
 
 
 def _histogram_dir(out: Path, tumor_ids) -> Path:
     """out/histograms, created if need be, for the histograms of tumor_ids.
 
-    A histogram there that none of them overwrites, or a .json file that is
-    not valid JSON, is an InputError: _load_cohorts would read it with them.
+    A histogram there that none of them overwrites, or a .json file that
+    read_input cannot read, is an InputError: _load_cohorts would read it
+    with them.
     """
     hist_dir = out / "histograms"
     names = {f"{tumor_id}.json" for tumor_id in tumor_ids}
     for p in sorted(hist_dir.glob("*.json")):
-        if p.name not in names and _histogram_dict(p) is not None:
+        if (p.name not in names
+                and read_input(p, "histogram", _histogram_or_none) is not None):
             raise InputError(f"{p} holds a histogram this run would not overwrite; "
                              f"remove it or choose another --out-dir")
     hist_dir.mkdir(exist_ok=True)
@@ -128,21 +123,17 @@ def _train_options(args):
                         max_iter=args.max_iter, tol=args.tol)
 
 
-def cmd_ingest(args, out: Path, meta: dict) -> int:
+def cmd_ingest(args, out: Path, meta: dict):
     from .histograms import (bin_voxels, load_signal_csv, load_voxel_csv,
                              write_histogram_json, write_json)
     if bool(args.voxels) == bool(args.signals):
         raise InputError("ingest needs exactly one of --voxels and --signals")
     config = _binning_from_args(args)
-    if args.signals:
-        loaded = load_signal_csv(args.signals)
-    else:
-        loaded = load_voxel_csv(args.voxels)
+    path = args.signals or args.voxels
+    loaded = (load_signal_csv if args.signals else load_voxel_csv)(path)
     if not loaded.records:
-        print("error: no valid rows in input", file=sys.stderr)
-        for line, msg in loaded.errors:
-            print(f"  line {line}: {msg}", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("\n  ".join([f"{path}: no valid rows", *(
+            f"line {line}: {msg}" for line, msg in loaded.errors)]))
     hists = bin_voxels(loaded.records, config)
     hist_dir = _histogram_dir(out, hists)
     summary = {"run": meta, "tumors": {}, "rejected_rows": [
@@ -153,17 +144,15 @@ def cmd_ingest(args, out: Path, meta: dict) -> int:
                                        "warnings": list(h.warnings)}
     write_json(out / "ingest_summary.json", summary)
     print(f"ingested {len(hists)} tumors, {len(loaded.errors)} rejected rows")
-    return EXIT_OK
 
 
-def cmd_synth(args, out: Path, meta: dict) -> int:
+def cmd_synth(args, out: Path, meta: dict):
     from .histograms import write_histogram_json, write_json, write_voxel_csv
     from .synth import default_scenarios, generate, histogram_to_voxels
     scenarios = default_scenarios(seed=args.seed)
     if args.preset not in scenarios:
-        print(f"error: unknown preset {args.preset!r}; "
-              f"choose from {sorted(scenarios)}", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError(f"unknown preset {args.preset!r}; "
+                         f"choose from {sorted(scenarios)}")
     spec = scenarios[args.preset]
     control, treated, truth = generate(spec)
     hist_dir = _histogram_dir(out, [h.tumor_id for h in control + treated])
@@ -180,10 +169,9 @@ def cmd_synth(args, out: Path, meta: dict) -> int:
         write_voxel_csv(out / "voxels.csv",
                         chain.from_iterable(map(histogram_to_voxels, control + treated)))
     print(f"generated {len(control)} control + {len(treated)} treated tumors")
-    return EXIT_OK
 
 
-def cmd_train(args, out: Path, meta: dict) -> int:
+def cmd_train(args, out: Path, meta: dict):
     from .model import train_model, write_model_json
     cohorts = _load_cohorts(args.histograms)
     model = train_model(cohorts["control"], cohorts["treated"], args.n_control,
@@ -192,10 +180,9 @@ def cmd_train(args, out: Path, meta: dict) -> int:
     write_model_json(out / "model.json", model)
     print(f"trained model: {model.n_control} control + "
           f"{model.n_treatment} treatment components")
-    return EXIT_OK
 
 
-def cmd_select(args, out: Path, meta: dict) -> int:
+def cmd_select(args, out: Path, meta: dict):
     from . import svgplots
     from .model import write_model_json
     from .selection import select_components, selection_table
@@ -220,22 +207,21 @@ def cmd_select(args, out: Path, meta: dict) -> int:
     write_model_json(out / "model.json", model)
     print(f"selected {model.n_control} control + "
           f"{model.n_treatment} treatment components")
-    return EXIT_OK
 
 
-def cmd_fit(args, out: Path, meta: dict) -> int:
+def cmd_fit(args, out: Path, meta: dict):
     """Score every tumor of the cohort; one that fails is recorded as failed.
 
     A failed tumor's numeric cells read "failed", as in loo_table, and it is
-    left out of the Stouffer combination; the run then exits 1.
+    left out of the Stouffer combination; once the response CSV is written,
+    one AnalysisError names each failed tumor and its reason.
     """
     from .inference import combine_cohort, fit_and_score
     from .model import read_model_json
     model = read_model_json(args.model)
     cohort = _load_cohorts(args.histograms)[args.cohort]
     if not cohort:
-        print(f"error: no {args.cohort} histograms found", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError(f"no {args.cohort} histograms in {args.histograms}")
     failed_cells = ["failed"] * (len(RESPONSE_COLUMNS) - 1)
     table = [RESPONSE_COLUMNS]
     results = []
@@ -244,7 +230,7 @@ def cmd_fit(args, out: Path, meta: dict) -> int:
         try:
             r = fit_and_score(model, h)
         except AnalysisError as exc:
-            failures.append((h.tumor_id, exc))
+            failures.append(f"tumor {h.tumor_id}: {exc}")
             table.append([h.tumor_id] + failed_cells)
             continue
         results.append(r)
@@ -258,15 +244,14 @@ def cmd_fit(args, out: Path, meta: dict) -> int:
         cells = ["failed", "failed"]
     table.append(["combined"] + cells + [""] * (len(RESPONSE_COLUMNS) - 3))
     write_csv(out / f"response_{args.cohort}.csv", meta, table)
-    for tumor_id, exc in failures:
-        print(f"error: tumor {tumor_id}: {exc}", file=sys.stderr)
-    return EXIT_ANALYSIS if failures else EXIT_OK
+    if failures:
+        raise AnalysisError("; ".join(failures))
 
 
-def cmd_validate(args, out: Path, meta: dict) -> int:
+def cmd_validate(args, out: Path, meta: dict):
     """Run the LOO protocol; a failed fold is reported as fit reports a
-    failed tumor: its row reads "failed", it is named on stderr, and the
-    run exits 1 once loo_report.csv is written."""
+    failed tumor: its row reads "failed", and once loo_report.csv is written
+    one AnalysisError names each failed fold and its reason."""
     from .validation import OUTLIER_Z, leave_one_out, loo_table
     cohorts = _load_cohorts(args.histograms)
     entries = leave_one_out(cohorts["control"], cohorts["treated"], args.n_control,
@@ -277,47 +262,47 @@ def cmd_validate(args, out: Path, meta: dict) -> int:
     for e in outliers:
         print(f"  outlier {e.tumor_id}: leave-one-out z={e.leave_one_out.z:.2f} "
               f">= {OUTLIER_Z} and exceeds leave-all-in z={e.leave_all_in.z:.2f}")
-    failed = [e for e in entries if e.failed]
-    for e in failed:
-        print(f"error: fold {e.tumor_id}: {e.error}", file=sys.stderr)
-    return EXIT_ANALYSIS if failed else EXIT_OK
+    failed = [f"fold {e.tumor_id}: {e.error}" for e in entries if e.failed]
+    if failed:
+        raise AnalysisError("; ".join(failed))
 
 
-def cmd_baseline(args, out: Path, meta: dict) -> int:
+def cmd_baseline(args, out: Path, meta: dict):
     from .baseline import baseline_table, cohort_baseline
     cohorts = _load_cohorts(args.histograms)
     tests, combined = cohort_baseline(cohorts["control"], cohorts["treated"])
     write_csv(out / "baseline.csv", meta, baseline_table(tests, combined))
     print(f"baseline combined z = {combined:.2f}")
-    return EXIT_OK
 
 
-def cmd_report(args, out: Path, meta: dict) -> int:
-    from . import svgplots
+def _read_response(fh):
+    """The scored ResponseResults, the ids of failed tumors and the combined z
+    (None if it failed) of response_*.csv file fh."""
     from .inference import ResponseResult
-    from .model import read_model_json
-    model = read_model_json(args.model)
     results = []
     failed = []  # tumors fit could not score
     combined_z = None
-    with open(args.response, newline="") as fh:
-        rows = fh.readlines()
+    rows = fh.readlines()
     if rows and rows[0].startswith("#"):  # the run comment; a tumor id may start with #
         del rows[0]
-    try:
-        for row in csv.DictReader(rows):
-            if row["z"] == "failed":
-                if row["tumor_id"] != "combined":
-                    failed.append(row["tumor_id"])
-                continue
-            if row["tumor_id"] == "combined":
-                combined_z = float(row["z"])
-                continue
-            results.append(ResponseResult(tumor_id=row["tumor_id"], **{
-                c: float(row[c]) for c in RESPONSE_COLUMNS[1:]}))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"{args.response}: malformed response CSV: "
-                         f"{exc!r}") from None
+    for row in csv.DictReader(rows):
+        if row["z"] == "failed":
+            if row["tumor_id"] != "combined":
+                failed.append(row["tumor_id"])
+            continue
+        if row["tumor_id"] == "combined":
+            combined_z = float(row["z"])
+            continue
+        results.append(ResponseResult(tumor_id=row["tumor_id"], **{
+            c: float(row[c]) for c in RESPONSE_COLUMNS[1:]}))
+    return results, failed, combined_z
+
+
+def cmd_report(args, out: Path, meta: dict):
+    from . import svgplots
+    from .model import read_model_json
+    model = read_model_json(args.model)
+    results, failed, combined_z = read_input(args.response, "response CSV", _read_response)
     (out / "effect_bars.svg").write_text(
         svgplots.effect_bar_svg(results, "Treatment volume per tumor"))
     (out / "components.svg").write_text(svgplots.pmf_heatstrip_svg(model))
@@ -334,7 +319,6 @@ def cmd_report(args, out: Path, meta: dict) -> int:
                      f"+/- {100 * r.effect_fraction_sigma:.2f}%")
     (out / "report.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
-    return EXIT_OK
 
 
 def _parse_args(parser, argv):
@@ -349,22 +333,21 @@ def _parse_args(parser, argv):
     if not args.config:
         return args
     tokens = []
-    with open(args.config) as fh:
-        for raw in fh:
-            raw = raw.strip()
-            if not raw or raw.startswith("#"):
-                continue
-            if "=" not in raw:
-                raise InputError(f"bad config line: {raw!r}")
-            key, value = (part.strip() for part in raw.split("=", 1))
-            dest = key.replace("-", "_")
-            if dest in ("command", "func", "config") or not hasattr(args, dest):
-                continue
-            flag = "--" + dest.replace("_", "-")
-            if not isinstance(getattr(args, dest), bool):
-                tokens.append(f"{flag}={value}")
-            elif value.lower() in ("1", "true", "yes"):
-                tokens.append(flag)
+    for raw in read_input(args.config, "config file", list):
+        raw = raw.strip()
+        if not raw or raw.startswith("#"):
+            continue
+        if "=" not in raw:
+            raise InputError(f"{args.config}: bad config line: {raw!r}")
+        key, value = (part.strip() for part in raw.split("=", 1))
+        dest = key.replace("-", "_")
+        if dest in ("command", "func", "config") or not hasattr(args, dest):
+            continue
+        flag = "--" + dest.replace("_", "-")
+        if not isinstance(getattr(args, dest), bool):
+            tokens.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes"):
+            tokens.append(flag)
     return parser.parse_args([args.command] + tokens + argv[1:])
 
 
@@ -451,13 +434,14 @@ def main(argv=None) -> int:
         args = _parse_args(parser, argv)
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        return args.func(args, out, _meta(args))
+        args.func(args, out, _meta(args))
     except AnalysisError as exc:
         print(f"analysis failed: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
     except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

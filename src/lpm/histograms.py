@@ -31,7 +31,7 @@ from operator import itemgetter
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InputError
+from .errors import InputError, read_input
 
 COHORTS = ("control", "treated")
 TIMEPOINTS = ("baseline", "followup")
@@ -644,5 +644,5 @@ def write_histogram_json(path, h: Histogram2D):
 
 
 def read_histogram_json(path) -> Histogram2D:
-    with open(path) as fh:
-        return Histogram2D.from_json_dict(json.load(fh))
+    """Histogram from a JSON file; a malformed file is an InputError."""
+    return read_input(path, "histogram", lambda fh: Histogram2D.from_json_dict(json.load(fh)))

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AnalysisError, InputError
+from .errors import AnalysisError, InputError, read_input
 from .histograms import BinningConfig, Histogram2D, write_json
 
 _M_FLOOR = 1e-300
@@ -184,13 +184,7 @@ def write_model_json(path, model: LpmModel):
 
 def read_model_json(path) -> LpmModel:
     """Model from a model.json file; a malformed file is an InputError."""
-    try:
-        with open(path) as fh:
-            return LpmModel.from_json_dict(json.load(fh))
-    except KeyError as exc:
-        raise InputError(f"{path}: model lacks key {exc}") from None
-    except (ValueError, TypeError, IndexError) as exc:
-        raise InputError(f"{path}: malformed model: {exc}") from None
+    return read_input(path, "model", lambda fh: LpmModel.from_json_dict(json.load(fh)))
 
 
 def _em(H, P, Q, trainable, max_iter, tol):

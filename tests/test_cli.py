@@ -1,14 +1,20 @@
+import contextlib
 import csv
+import io
 import json
+import operator
 import os
 import re
 import shutil
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lpm
 from lpm import model as lpm_model
@@ -440,10 +446,8 @@ class TestExitCodes:
         response = tmp_path / "response_treated.csv"
         assert run(["fit", "--model", tmp_path / "model.json", "--histograms",
                     hists, "--out-dir", tmp_path]) == 1
-        err = capsys.readouterr().err
-        errors = [line for line in err.splitlines() if "error" in line]
-        assert errors == ["error: tumor trt02: 3 free parameters for 2 "
-                          "informative cells"], err
+        assert capsys.readouterr().err == ("analysis failed: tumor trt02: 3 free "
+                                           "parameters for 2 informative cells\n")
         header, *rows = csv.reader(response.read_text().splitlines()[1:])
         assert header == list(RESPONSE_COLUMNS)
         assert [r[0] for r in rows] == ["trt01", "trt02", "trt03", "trt04",
@@ -473,9 +477,7 @@ class TestExitCodes:
         monkeypatch.setattr(lpm_model, "train_control", train_control)
         assert run(["validate", "--histograms", hists, "--n-control", "1",
                     "--n-treatment", "1", "--out-dir", tmp_path] + FAST) == 1
-        err = capsys.readouterr().err
-        errors = [line for line in err.splitlines() if "error" in line]
-        assert errors == [f"error: fold {first}: planted failure"], err
+        assert capsys.readouterr().err == f"analysis failed: fold {first}: planted failure\n"
         header, *rows = csv.reader(
             (tmp_path / "loo_report.csv").read_text().splitlines()[1:])
         assert rows[0][0] == first and rows[0][2] == "failed"
@@ -497,7 +499,7 @@ class TestExitCodes:
             shutil.copy(path, hists)
         assert run(["fit", "--model", pipeline / "model.json", "--histograms", hists,
                     "--cohort", "control", "--out-dir", tmp_path]) == 2
-        assert capsys.readouterr().err == "error: no control histograms found\n"
+        assert capsys.readouterr().err == f"input error: no control histograms in {hists}\n"
         assert not (tmp_path / "response_control.csv").exists()
 
     def test_fit_on_control_only_model_is_input_error(self, pipeline, tmp_path,
@@ -634,6 +636,90 @@ class TestExitCodes:
                     "--n-control", "1", "--n-treatment", "-1",
                     "--out-dir", tmp_path] + FAST) == 2
         assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("case", ["undecodable-response", "undecodable-config",
+                                      "deep-model", "deep-histogram"])
+    def test_unreadable_input_file_is_input_error_naming_it(self, pipeline, tmp_path,
+                                                           capsys, case):
+        deep = "[" * 100_000 + "]" * 100_000
+        hists = tmp_path / "histograms"
+        shutil.copytree(pipeline / "histograms", hists)
+        model = pipeline / "model.json"
+        if case == "undecodable-response":
+            path = tmp_path / "response.csv"
+            path.write_bytes((pipeline / "response_treated.csv").read_bytes()
+                             .replace(b"trt01", b"trt\xff1"))
+            argv = ["report", "--model", model, "--response", path]
+        elif case == "undecodable-config":
+            path = tmp_path / "run.cfg"
+            path.write_bytes(b"seed = 3\n# \xff\n")
+            argv = ["baseline", "--histograms", hists, "--config", path]
+        elif case == "deep-model":
+            path = tmp_path / "model.json"
+            path.write_text(deep)
+            argv = ["fit", "--model", path, "--histograms", hists]
+        else:
+            path = hists / "zz.json"
+            path.write_text(deep)
+            argv = ["baseline", "--histograms", hists]
+        assert run(argv + ["--out-dir", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {path}: ") and "Traceback" not in err, err
+        assert err.count("\n") == 1, err
+        assert not list((tmp_path / "out").glob("*.*"))
+
+
+def _field_paths(value, path=()):
+    """The path of every field of a JSON value: each key of an object and the
+    first item of an array, at every depth."""
+    fields = (value.items() if isinstance(value, dict)
+              else [(0, value[0])] if isinstance(value, list) and value else [])
+    for key, child in fields:
+        yield path + (key,)
+        yield from _field_paths(child, path + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=3)),
+    max_leaves=6)
+
+
+class TestMalformedFields:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_one_replaced_field_exits_0_or_2(self, pipeline, tmp_path_factory, data):
+        """One field of a histogram or model.json replaced by any JSON value:
+        train, baseline, fit and report exit 0 or 2 and print no traceback, and
+        report scores every tumor of fit's response file."""
+        run_dir = tmp_path_factory.mktemp("mutant")
+        hists = shutil.copytree(pipeline / "histograms", run_dir / "histograms")
+        model = shutil.copy(pipeline / "model.json", run_dir / "model.json")
+        path = data.draw(st.sampled_from([model, hists / "ctl01.json", hists / "trt01.json"]))
+        d = json.loads(path.read_text())
+        *parents, key = data.draw(st.sampled_from(list(_field_paths(d))))
+        reduce(operator.getitem, parents, d)[key] = data.draw(JSON_VALUES)
+        path.write_text(json.dumps(d))
+        out = run_dir / "out"
+        response = out / "response_treated.csv"
+        codes = {}
+        for argv in (["train", "--histograms", hists, "--n-control", "3",
+                      "--n-treatment", "2"] + FAST,
+                     ["baseline", "--histograms", hists],
+                     ["fit", "--model", model, "--histograms", hists],
+                     ["report", "--model", model, "--response", response]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                codes[argv[0]] = run(argv + ["--out-dir", out])
+            assert codes[argv[0]] in (0, 2) and "Traceback" not in err.getvalue(), \
+                (argv[0], parents, key, err.getvalue())
+        if codes["fit"] == 0:
+            assert codes["report"] == 0
+            with open(response, newline="") as fh:
+                fh.readline()
+                scored = [r for r in csv.DictReader(fh) if r["tumor_id"] != "combined"]
+            assert f"Tumors scored: {len(scored)}\n" in (out / "report.txt").read_text()
 
 
 class TestConfigFile:
@@ -801,16 +887,21 @@ class TestStartup:
         assert (tmp_path / "out" / "histograms" / "t1.json").is_file()
 
     def test_front_end_loads_no_numpy_histograms_or_hashlib(self, tmp_path):
+        """--help, argparse errors and bad --config files: a bad line, an
+        undecodable byte, a missing file and a value argparse rejects."""
         (tmp_path / "bad.cfg").write_text("seed 3\n")
+        (tmp_path / "undecodable.cfg").write_bytes(b"seed = \xff\n")
+        (tmp_path / "bad_value.cfg").write_text("seed = abc\n")
         code = ("import lpm.cli\n"
                 "codes = []\n"
-                "for argv in (['--help'], ['fit'],\n"
-                "             ['baseline', '--histograms', 'h', '--config', 'bad.cfg']):\n"
+                "for argv in [['--help'], ['fit'], ['fit', '--seed', 'x']] + [\n"
+                "        ['baseline', '--histograms', 'h', '--config', cfg] for cfg in\n"
+                "        ('bad.cfg', 'undecodable.cfg', 'missing.cfg', 'bad_value.cfg')]:\n"
                 "    try:\n"
                 "        codes.append(lpm.cli.main(argv))\n"
                 "    except SystemExit as exc:\n"
                 "        codes.append(exc.code)\n"
-                "assert codes == [0, 2, 2], codes")
+                "assert codes == [0, 2, 2, 2, 2, 2, 2], codes")
         assert _modules_after(tmp_path, code, "numpy") == []
         assert "lpm.histograms" not in _modules_after(tmp_path, code, "lpm")
         assert _modules_after(tmp_path, code, "_hashlib") == []

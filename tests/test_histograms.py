@@ -180,6 +180,18 @@ class TestHistogram2D:
         assert np.array_equal(back.counts, h.counts)
         assert back.binning == binning
 
+    @pytest.mark.parametrize("data, message", [
+        (b'{"counts": [[1, 2]]}', "histogram lacks key 'tumor_id'"),
+        (b'{"tumor_id": "\xff"}', "malformed histogram: 'utf-8' codec can't decode"),
+        (b"[" * 100_000 + b"]" * 100_000, "malformed histogram: maximum recursion depth"),
+        (b"[]", "malformed histogram: list indices must be integers"),
+    ], ids=["missing-key", "undecodable", "deep", "array"])
+    def test_unreadable_json_is_input_error_naming_the_file(self, tmp_path, data, message):
+        path = tmp_path / "h.json"
+        path.write_bytes(data)
+        with pytest.raises(InputError, match=re.escape(f"{path}: {message}")):
+            read_histogram_json(path)
+
 
 class TestBinVoxels:
     def test_basic_placement(self, tmp_path, binning):
