@@ -104,14 +104,19 @@ def combine_tests(zs) -> float:
 def cohort_baseline(control, treated):
     """Full conventional analysis of a control and a treated cohort of histograms.
 
-    Returns ({measure: TTestResult}, combined_z).
+    Returns ({measure: TTestResult}, combined_z). A summary change, t
+    statistic or dof that is not finite is an InputError naming its measure.
     """
     if not control or not treated:
         raise InputError("need both control and treated histograms")
-    control = np.array([summary_change(h) for h in control])
-    treated = np.array([summary_change(h) for h in treated])
-    tests = {measure: welch_t_test(control[:, j], treated[:, j])
-             for j, measure in enumerate(MEASURES)}
+    with np.errstate(all="ignore"):  # an overflow is rejected below
+        control = np.array([summary_change(h) for h in control])
+        treated = np.array([summary_change(h) for h in treated])
+        tests = {measure: welch_t_test(control[:, j], treated[:, j])
+                 for j, measure in enumerate(MEASURES)}
+    for (measure, r), a, b in zip(tests.items(), control.T, treated.T):
+        if not np.isfinite([*a, *b, r.statistic, r.dof]).all():
+            raise InputError(f"{measure}: summary change, t statistic or dof not finite")
     combined = combine_tests([r.z_equivalent for r in tests.values()])
     return tests, combined
 

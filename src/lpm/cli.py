@@ -59,6 +59,11 @@ def write_csv(path: Path, meta: dict, table):
         csv.writer(fh, lineterminator="\n").writerows(table)
 
 
+def _shown(tumor_id) -> str:
+    """tumor_id, or its repr() when str.isprintable() rejects it (a line break, a tab)."""
+    return tumor_id if tumor_id.isprintable() else repr(tumor_id)
+
+
 def _load_cohorts(directory) -> dict:
     """Histograms of a directory by cohort label, each list in file-name order.
 
@@ -230,7 +235,7 @@ def cmd_fit(args, out: Path, meta: dict):
         try:
             r = fit_and_score(model, h)
         except AnalysisError as exc:
-            failures.append(f"tumor {h.tumor_id}: {exc}")
+            failures.append(f"tumor {_shown(h.tumor_id)}: {exc}")
             table.append([h.tumor_id] + failed_cells)
             continue
         results.append(r)
@@ -260,9 +265,9 @@ def cmd_validate(args, out: Path, meta: dict):
     outliers = [e for e in entries if e.outlier]
     print(f"{len(entries)} folds, {len(outliers)} outlier flags")
     for e in outliers:
-        print(f"  outlier {e.tumor_id}: leave-one-out z={e.leave_one_out.z:.2f} "
+        print(f"  outlier {_shown(e.tumor_id)}: leave-one-out z={e.leave_one_out.z:.2f} "
               f">= {OUTLIER_Z} and exceeds leave-all-in z={e.leave_all_in.z:.2f}")
-    failed = [f"fold {e.tumor_id}: {e.error}" for e in entries if e.failed]
+    failed = [f"fold {_shown(e.tumor_id)}: {e.error}" for e in entries if e.failed]
     if failed:
         raise AnalysisError("; ".join(failed))
 
@@ -310,11 +315,11 @@ def cmd_report(args, out: Path, meta: dict):
              f"treatment components",
              f"Tumors scored: {len(results)}"]
     if failed:
-        lines.append(f"Tumors failed: {', '.join(failed)}")
+        lines.append(f"Tumors failed: {', '.join(map(_shown, failed))}")
     if combined_z is not None:
         lines.append(f"Combined cohort z: {combined_z:.2f}")
     for r in results:
-        lines.append(f"  {r.tumor_id}: z={r.z:.2f} p={r.p_two_tailed:.3g} "
+        lines.append(f"  {_shown(r.tumor_id)}: z={r.z:.2f} p={r.p_two_tailed:.3g} "
                      f"effect={100 * r.effect_fraction:.2f}% "
                      f"+/- {100 * r.effect_fraction_sigma:.2f}%")
     (out / "report.txt").write_text("\n".join(lines) + "\n")

@@ -25,7 +25,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from operator import itemgetter
 
 import numpy as np
@@ -43,7 +43,6 @@ _COHORT_CODES = {name: k for k, name in enumerate(COHORTS)}
 
 _CHUNK_ROWS = 2048  # CSV records (physical lines while they are plain) per chunk
 _FIELD_MAX = 1024  # widest requested field, in bytes, that a plain chunk holds
-_BLOCK_BYTES = 1 << 16  # bytes of a CSV decoded at a time once it is not plain
 
 
 @dataclass(frozen=True)
@@ -362,8 +361,7 @@ def _csv_chunks(path, columns):
         bom = len(codecs.BOM_UTF8) if header.startswith(codecs.BOM_UTF8) else 0
         header = header[bom:]
         if not header or _split_plain(header) is None:
-            fh.seek(bom)
-            yield from _reader_chunks(path, fh, 0, columns, None)
+            yield from _reader_chunks(path, fh, bom, 0, columns, None)
             return
         text = header.rstrip(b"\r\n").decode()
         wanted = _wanted(path, columns, text.split(",") if text else [])
@@ -372,8 +370,7 @@ def _csv_chunks(path, columns):
             buf = b"".join(lines)
             chunk = _plain_chunk(buf, base, columns, wanted)
             if chunk is None:
-                fh.seek(offset)
-                yield from _reader_chunks(path, fh, base, columns, wanted)
+                yield from _reader_chunks(path, fh, offset, base, columns, wanted)
                 return
             yield chunk
             offset += len(buf)
@@ -449,35 +446,13 @@ def _fixed_width(data, lo, hi):
     return fields.view(f"S{width}").ravel()
 
 
-def _text_blocks(path, fh, base):
-    """Lists of the lines of fh, whose next line is physical line base + 1, as
-    open(path, encoding="utf-8", newline="") reads them; an undecodable byte
-    is an InputError naming its line. Blocks are cut after a line
-    break, so no character or CRLF is split."""
-    rest = b""
-    while True:
-        block = fh.read(max(_BLOCK_BYTES, len(rest)))  # doubles through a long line
-        data = rest + block
-        # a CR that ends the block may be the first half of a CRLF
-        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1 if block else len(data)
-        data, rest = data[:cut], data[cut:]
-        try:
-            lines = io.StringIO(data.decode("utf-8"), newline="").readlines()
-        except UnicodeDecodeError as exc:
-            head = data[:exc.start]
-            line = base + 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-            raise InputError(f"{path}: line {line}: cannot decode byte 0x"
-                             f"{data[exc.start]:02x} as UTF-8: {exc.reason}") from None
-        yield lines
-        base += len(lines)
-        if not block:
-            return
-
-
-def _reader_chunks(path, fh, base, columns, wanted):
-    """Chunks that csv.reader reads from fh, whose next line is physical
-    line base + 1; the header is read first when wanted is None."""
-    reader = csv.reader(chain.from_iterable(_text_blocks(path, fh, base)))
+def _reader_chunks(path, fh, start, base, columns, wanted):
+    """Chunks that csv.reader reads from fh from byte start on, where physical
+    line base + 1 begins; the header is read first when wanted is None. An
+    undecodable byte is an InputError naming its line."""
+    fh.seek(start)
+    text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+    reader = csv.reader(text)
     try:
         if wanted is None:
             wanted = _wanted(path, columns, next(reader, None))
@@ -501,6 +476,18 @@ def _reader_chunks(path, fh, base, columns, wanted):
                           for i in wanted], short
     except csv.Error as exc:
         raise InputError(f"{path}: line {base + reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:  # raised ahead of csv.reader; the raw bytes tell its line
+        fh.seek(start)
+        data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = base + len(data[:exc.start + 1].splitlines())  # up to the bad byte
+            raise InputError(f"{path}: line {line}: cannot decode byte 0x"
+                             f"{data[exc.start]:02x} as UTF-8: {exc.reason}") from None
+        raise
+    finally:
+        text.detach()  # fh stays open for _csv_chunks to close
 
 
 def _floats(fields):

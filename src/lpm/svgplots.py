@@ -7,6 +7,7 @@ dependency.
 from __future__ import annotations
 
 import math
+from html import escape
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#e377c2", "#17becf", "#bcbd22", "#7f7f7f"]
@@ -23,8 +24,8 @@ def _header(width=WIDTH, height=HEIGHT):
 
 
 def _text(x, y, s, size=12, anchor="middle"):
-    return (f'<text x="{x:.1f}" y="{y:.1f}" font-size="{size}" '
-            f'font-family="sans-serif" text-anchor="{anchor}">{s}</text>\n')
+    return (f'<text x="{x:.1f}" y="{y:.1f}" font-size="{size}" font-family="sans-serif" '
+            f'text-anchor="{anchor}">{escape(s, quote=False)}</text>\n')
 
 
 def _axes(title, xlabel, ylabel):

@@ -98,6 +98,28 @@ class TestPipeline:
         assert "Tumors scored: 10\n" in report
         assert "\n  #trt01: z=" in report
 
+    def test_report_prints_unprintable_tumor_id_as_repr(self, pipeline, tmp_path, capsys):
+        """A line break or tab in a tumor id cannot split a line of report.txt."""
+        with open(pipeline / "response_treated.csv", newline="") as fh:
+            comment = fh.readline()
+            rows = list(csv.reader(fh))
+        assert [rows[1][0], rows[2][0]] == ["trt01", "trt02"]
+        rows[1][0] = "trt\n01"
+        rows[2] = ["trt\t02"] + ["failed"] * (len(RESPONSE_COLUMNS) - 1)
+        response = tmp_path / "response_treated.csv"
+        with open(response, "w", newline="") as fh:
+            fh.write(comment)
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        capsys.readouterr()
+        assert run(["report", "--model", pipeline / "model.json",
+                    "--response", response, "--out-dir", tmp_path]) == 0
+        report = (tmp_path / "report.txt").read_text()
+        assert capsys.readouterr().out == report
+        lines = report.splitlines()
+        assert lines[1:3] == ["Tumors scored: 9", "Tumors failed: 'trt\\t02'"]
+        assert lines[4].startswith("  'trt\\n01': z=")
+        assert len(lines) == 4 + 9
+
 
 class TestHistogramDirectory:
     def test_model_in_histogram_dir_is_skipped(self, pipeline, tmp_path):
@@ -161,6 +183,20 @@ class TestHistogramDirectory:
         err = capsys.readouterr().err
         assert "malformed histogram" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "model.json").exists()
+
+    def test_overflowing_baseline_summary_is_input_error(self, pipeline, tmp_path, capsys):
+        """A finite adc_max so large that a t-test overflows exits 2, naming
+        the measure, and writes no baseline.csv with a NaN dof in it."""
+        hist_dir = shutil.copytree(pipeline / "histograms", tmp_path / "h")
+        d = json.loads((hist_dir / "ctl01.json").read_text())
+        d["binning"]["adc_max"] = 7.804299388787365e+155
+        (hist_dir / "ctl01.json").write_text(json.dumps(d))
+        assert run(["baseline", "--histograms", hist_dir,
+                    "--out-dir", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("input error: mean_adc_change: summary change, t statistic "
+                       "or dof not finite\n")
+        assert not (tmp_path / "out" / "baseline.csv").exists()
 
 
 class TestModelFile:

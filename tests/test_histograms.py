@@ -360,10 +360,7 @@ class TestVoxelCsv:
                            "cannot decode byte 0xff as UTF-8"):
             load_voxel_csv(path)
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 5, 1 << 16])
-    def test_decode_blocks_split_no_character_or_crlf(self, tmp_path, monkeypatch,
-                                                      block):
-        monkeypatch.setattr(histograms, "_BLOCK_BYTES", block)
+    def test_decoding_splits_no_character_or_crlf(self, tmp_path):
         path = tmp_path / "voxels.csv"
         path.write_bytes('tumor_id,cohort,timepoint,adc\r\n"t\r\n1",control,0,0.001\r'
                          "t\u00fc\u20ac,control,0,0.002\n\r\nt2,control,72,x\r\n"

@@ -1,8 +1,12 @@
 import math
 import re
+from xml.etree import ElementTree
 
+from conftest import make_model
+from lpm.inference import ResponseResult
 from lpm.selection import SelectionCurve, SelectionPoint
-from lpm.svgplots import HEIGHT, MARGIN, WIDTH, selection_curve_svg
+from lpm.svgplots import (HEIGHT, MARGIN, WIDTH, effect_bar_svg, pmf_heatstrip_svg,
+                          selection_curve_svg)
 
 
 def _curve():
@@ -49,3 +53,15 @@ class TestSelectionCurveSvg:
         curve.points = curve.points[:2]
         svg = selection_curve_svg(curve)
         assert "degenerate" not in svg and "unconverged" not in svg
+
+
+def test_plots_are_well_formed_xml_for_any_tumor_id(binning):
+    ids = ["a&b<c", "d>\"e'", "t1"]
+    results = [ResponseResult(tumor_id=t, q_treatment_total=100.0, sigma_treatment=5.0,
+                              effect_fraction=0.1, effect_fraction_sigma=0.01, z=3.0,
+                              p_two_tailed=0.003) for t in ids]
+    bars = ElementTree.fromstring(effect_bar_svg(results, "Treatment volume per tumor"))
+    texts = [e.text for e in bars.iter("{http://www.w3.org/2000/svg}text")]
+    assert set(ids) <= set(texts)
+    ElementTree.fromstring(selection_curve_svg(_curve()))
+    ElementTree.fromstring(pmf_heatstrip_svg(make_model(binning, n_control=2, n_treatment=1)))

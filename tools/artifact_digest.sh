@@ -11,6 +11,10 @@
 # 12 voxels at 4 b-values each, one signal that does not parse, one voxel
 # with a single b-value, and one voxel whose rows another voxel's row
 # splits, so the digest also covers the rejections and a split group.
+# ingest --voxels also reads fallback.csv, which the script writes with
+# CRLF endings, a quoted id that holds a comma, a non-ASCII id, a blank
+# line and one ADC that does not parse, so csv.reader reads it rather than
+# the numpy splitter of plain CSV chunks.
 # select and validate run once more with --jobs 2 (into select_jobs2 and
 # validate_jobs2), so the digest also covers the process-pool path; the
 # script exits 1 after the digest if those differ from select and validate
@@ -53,6 +57,10 @@ awk 'BEGIN {
     print "s1,control,72,v6,1000,310.5"
 }' >"$out/signals.csv"
 lpm ingest --signals "$out/signals.csv" --out-dir "$out/ingest_signals"
+printf '%s\r\n' tumor_id,cohort,timepoint,adc '"f,1",control,0,0.0011' \
+    '"f,1",control,72,0.0012' '' 'fü,treated,0,0.0009' 'fü,treated,72,n/a' \
+    'fü,treated,72,0.0016' >"$out/fallback.csv"
+lpm ingest --voxels "$out/fallback.csv" --out-dir "$out/ingest_fallback"
 sweeps() {  # <jobs> <out-dir suffix>
     lpm select --histograms "$hists" --k-max 5 $fast --jobs "$1" \
         --out-dir "$out/select$2"
