@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import re
@@ -360,7 +361,21 @@ class TestVoxelCsv:
                            "cannot decode byte 0xff as UTF-8"):
             load_voxel_csv(path)
 
-    def test_decoding_splits_no_character_or_crlf(self, tmp_path):
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 1 << 16])
+    def test_decode_blocks_split_no_character_or_crlf(self, tmp_path, monkeypatch,
+                                                      block):
+        """The csv.reader fallback's text wrapper, reading block bytes at a
+        time, splits no multibyte character or CRLF."""
+        wrappers = []
+
+        def wrapper(*args, **kwargs):
+            text = text_io_wrapper(*args, **kwargs)
+            text._CHUNK_SIZE = block
+            wrappers.append(text)
+            return text
+
+        text_io_wrapper = io.TextIOWrapper
+        monkeypatch.setattr(io, "TextIOWrapper", wrapper)
         path = tmp_path / "voxels.csv"
         path.write_bytes('tumor_id,cohort,timepoint,adc\r\n"t\r\n1",control,0,0.001\r'
                          "t\u00fc\u20ac,control,0,0.002\n\r\nt2,control,72,x\r\n"
@@ -369,6 +384,7 @@ class TestVoxelCsv:
         assert loaded.records.tumor_ids == ("t\r\n1", "t\u00fc\u20ac", "t3")
         assert loaded.records.adc.tolist() == [0.001, 0.002, 0.003]
         assert loaded.errors == [(6, "could not convert string to float: 'x'")]
+        assert wrappers  # the file went through csv.reader
 
     def test_load_peak_memory_per_voxel(self, tmp_path):
         n = 100_000
