@@ -59,11 +59,6 @@ def write_csv(path: Path, meta: dict, table):
         csv.writer(fh, lineterminator="\n").writerows(table)
 
 
-def _shown(tumor_id) -> str:
-    """tumor_id, or its repr() when str.isprintable() rejects it (a line break, a tab)."""
-    return tumor_id if tumor_id.isprintable() else repr(tumor_id)
-
-
 def _load_cohorts(directory) -> dict:
     """Histograms of a directory by cohort label, each list in file-name order.
 
@@ -221,6 +216,7 @@ def cmd_fit(args, out: Path, meta: dict):
     left out of the Stouffer combination; once the response CSV is written,
     one AnalysisError names each failed tumor and its reason.
     """
+    from .histograms import shown_id
     from .inference import combine_cohort, fit_and_score
     from .model import read_model_json
     model = read_model_json(args.model)
@@ -235,7 +231,7 @@ def cmd_fit(args, out: Path, meta: dict):
         try:
             r = fit_and_score(model, h)
         except AnalysisError as exc:
-            failures.append(f"tumor {_shown(h.tumor_id)}: {exc}")
+            failures.append(f"tumor {shown_id(h.tumor_id)}: {exc}")
             table.append([h.tumor_id] + failed_cells)
             continue
         results.append(r)
@@ -257,6 +253,7 @@ def cmd_validate(args, out: Path, meta: dict):
     """Run the LOO protocol; a failed fold is reported as fit reports a
     failed tumor: its row reads "failed", and once loo_report.csv is written
     one AnalysisError names each failed fold and its reason."""
+    from .histograms import shown_id
     from .validation import OUTLIER_Z, leave_one_out, loo_table
     cohorts = _load_cohorts(args.histograms)
     entries = leave_one_out(cohorts["control"], cohorts["treated"], args.n_control,
@@ -265,9 +262,9 @@ def cmd_validate(args, out: Path, meta: dict):
     outliers = [e for e in entries if e.outlier]
     print(f"{len(entries)} folds, {len(outliers)} outlier flags")
     for e in outliers:
-        print(f"  outlier {_shown(e.tumor_id)}: leave-one-out z={e.leave_one_out.z:.2f} "
+        print(f"  outlier {shown_id(e.tumor_id)}: leave-one-out z={e.leave_one_out.z:.2f} "
               f">= {OUTLIER_Z} and exceeds leave-all-in z={e.leave_all_in.z:.2f}")
-    failed = [f"fold {_shown(e.tumor_id)}: {e.error}" for e in entries if e.failed]
+    failed = [f"fold {shown_id(e.tumor_id)}: {e.error}" for e in entries if e.failed]
     if failed:
         raise AnalysisError("; ".join(failed))
 
@@ -305,6 +302,7 @@ def _read_response(fh):
 
 def cmd_report(args, out: Path, meta: dict):
     from . import svgplots
+    from .histograms import shown_id
     from .model import read_model_json
     model = read_model_json(args.model)
     results, failed, combined_z = read_input(args.response, "response CSV", _read_response)
@@ -315,11 +313,11 @@ def cmd_report(args, out: Path, meta: dict):
              f"treatment components",
              f"Tumors scored: {len(results)}"]
     if failed:
-        lines.append(f"Tumors failed: {', '.join(map(_shown, failed))}")
+        lines.append(f"Tumors failed: {', '.join(map(shown_id, failed))}")
     if combined_z is not None:
         lines.append(f"Combined cohort z: {combined_z:.2f}")
     for r in results:
-        lines.append(f"  {_shown(r.tumor_id)}: z={r.z:.2f} p={r.p_two_tailed:.3g} "
+        lines.append(f"  {shown_id(r.tumor_id)}: z={r.z:.2f} p={r.p_two_tailed:.3g} "
                      f"effect={100 * r.effect_fraction:.2f}% "
                      f"+/- {100 * r.effect_fraction_sigma:.2f}%")
     (out / "report.txt").write_text("\n".join(lines) + "\n")
@@ -332,13 +330,17 @@ def _parse_args(parser, argv):
     Each `key = value` line becomes `--key=value` (a bare `--key` for a true
     on/off flag) placed before argv, so argparse converts and checks the
     value and an explicit flag, occurring later, wins. Keys the subcommand
-    does not take are ignored.
+    does not take are ignored. A UTF-8 byte-order mark before the first line
+    is dropped.
     """
     args = parser.parse_args(argv)
     if not args.config:
         return args
     tokens = []
-    for raw in read_input(args.config, "config file", list):
+    lines = read_input(args.config, "config file", list)
+    if lines:
+        lines[0] = lines[0].removeprefix("\ufeff")
+    for raw in lines:
         raw = raw.strip()
         if not raw or raw.startswith("#"):
             continue

@@ -164,6 +164,12 @@ def check_tumor_id(tumor_id, where=""):
                          f"of response files")
 
 
+def shown_id(tumor_id) -> str:
+    """tumor_id as printed lines and SVG labels show it: its repr() when
+    str.isprintable() rejects it (a line break, a control character)."""
+    return tumor_id if tumor_id.isprintable() else repr(tumor_id)
+
+
 def _voxel_table(tumor, cohort, timepoint, adc, ids, path):
     """Assemble a VoxelTable, keeping only tumors that have voxels.
 

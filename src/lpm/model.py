@@ -64,6 +64,8 @@ class TrainOptions:
     tol: float = 1e-9  # relative log-likelihood change
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.restarts < 1:
             raise InputError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iter < 1:

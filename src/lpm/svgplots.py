@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from html import escape
 
+from .histograms import shown_id
+
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#e377c2", "#17becf", "#bcbd22", "#7f7f7f"]
 
@@ -127,7 +129,7 @@ def effect_bar_svg(results, title) -> str:
         out += (f'<line x1="{cx:.1f}" y1="{sy(vals[i] + errs[i]):.1f}" '
                 f'x2="{cx:.1f}" y2="{sy(max(vals[i] - errs[i], 0)):.1f}" '
                 f'stroke="black"/>\n')
-        out += _text(cx, HEIGHT - MARGIN + 16, r.tumor_id, size=10)
+        out += _text(cx, HEIGHT - MARGIN + 16, shown_id(r.tumor_id), size=10)
     out += _text(MARGIN - 8, sy(top) + 4, f"{top:.0f}", anchor="end")
     out += _text(MARGIN - 8, sy(0) + 4, "0", anchor="end")
     return out + "</svg>\n"

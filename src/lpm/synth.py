@@ -28,6 +28,8 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if not self.control_pmfs:
             raise ValueError("need at least one control PMF")
         if not self.counts_per_tumor > 0:  # also rejects nan

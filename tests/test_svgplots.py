@@ -56,12 +56,14 @@ class TestSelectionCurveSvg:
 
 
 def test_plots_are_well_formed_xml_for_any_tumor_id(binning):
-    ids = ["a&b<c", "d>\"e'", "t1"]
+    # a printable id keeps its characters; any other is labelled by its repr()
+    labels = {"a&b<c": "a&b<c", "d>\"e'": "d>\"e'", "t1": "t1",
+              "a\x01b": "'a\\x01b'", "x\ny": "'x\\ny'"}
     results = [ResponseResult(tumor_id=t, q_treatment_total=100.0, sigma_treatment=5.0,
                               effect_fraction=0.1, effect_fraction_sigma=0.01, z=3.0,
-                              p_two_tailed=0.003) for t in ids]
+                              p_two_tailed=0.003) for t in labels]
     bars = ElementTree.fromstring(effect_bar_svg(results, "Treatment volume per tumor"))
     texts = [e.text for e in bars.iter("{http://www.w3.org/2000/svg}text")]
-    assert set(ids) <= set(texts)
+    assert set(labels.values()) <= set(texts)
     ElementTree.fromstring(selection_curve_svg(_curve()))
     ElementTree.fromstring(pmf_heatstrip_svg(make_model(binning, n_control=2, n_treatment=1)))

@@ -18,8 +18,12 @@
 # select and validate run once more with --jobs 2 (into select_jobs2 and
 # validate_jobs2), so the digest also covers the process-pool path; the
 # script exits 1 after the digest if those differ from select and validate
-# in any byte. Run it on two trees and diff the outputs to compare their
-# artifacts byte for byte. <out-dir> must not exist yet.
+# in any byte. train 3+2 also runs from train.cfg, which the script writes
+# with a UTF-8 byte-order mark, CRLF endings and a # comment, its first line
+# n_treatment = 2 (into train_config); the script exits 1 after the digest
+# if that model.json differs from train_3_2's in any byte. Run it on two
+# trees and diff the outputs to compare their artifacts byte for byte.
+# <out-dir> must not exist yet.
 set -eu
 if [ $# -ne 2 ]; then
     echo "usage: $0 <src-tree> <out-dir>" >&2
@@ -73,6 +77,10 @@ lpm train --histograms "$hists" --n-control 3 --n-treatment 0 $fast \
     --out-dir "$out/train_3_0"
 lpm train --histograms "$hists" --n-control 3 --n-treatment 2 $fast \
     --out-dir "$out/train_3_2"
+printf '\357\273\277n_treatment = 2\r\nrestarts = 1\r\n# as train_3_2\r\n' \
+    >"$out/train.cfg"
+lpm train --config "$out/train.cfg" --histograms "$hists" --n-control 3 \
+    --out-dir "$out/train_config"
 for cohort in control treated; do
     lpm fit --model "$out/train_3_2/model.json" --histograms "$hists" \
         --cohort "$cohort" --out-dir "$out/train_3_2"
@@ -91,3 +99,7 @@ for d in select validate; do
         exit 1
     fi
 done
+if ! cmp -s train_config/model.json train_3_2/model.json; then
+    echo "$0: train_config/model.json differs from train_3_2/model.json" >&2
+    exit 1
+fi
