@@ -8,6 +8,8 @@ byte-identical outputs.
 
 Exit codes: 0 success, 1 analysis-level failure, 2 input error. Only main
 sets them: a subcommand returns nothing or raises AnalysisError or InputError.
+A stdout whose reader has gone (``lpm report ... | head -1``) is exit 0, since
+every artifact is written before main flushes stdout.
 
 The front end (argument parsing, --config, the run header and dispatch) loads
 no lpm module but lpm.errors, and no numpy, so ``lpm --help`` and a usage or
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from itertools import chain
 from pathlib import Path
@@ -239,12 +242,13 @@ def cmd_fit(args, out: Path, meta: dict):
     if results:
         combined = combine_cohort([r.z for r in results])
         cells = [repr(combined.combined_z), repr(combined.combined_p)]
-        print(f"scored {len(results)} {args.cohort} tumors, "
-              f"combined z = {combined.combined_z:.2f}")
     else:
         cells = ["failed", "failed"]
     table.append(["combined"] + cells + [""] * (len(RESPONSE_COLUMNS) - 3))
     write_csv(out / f"response_{args.cohort}.csv", meta, table)
+    if results:
+        print(f"scored {len(results)} {args.cohort} tumors, "
+              f"combined z = {combined.combined_z:.2f}")
     if failures:
         raise AnalysisError("; ".join(failures))
 
@@ -442,6 +446,12 @@ def main(argv=None) -> int:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         args.func(args, out, _meta(args))
+        sys.stdout.flush()  # a closed stdout shows here, once every artifact is written
+    except BrokenPipeError:
+        # the reader of stdout has gone; what it missed is in the artifacts, and
+        # os.devnull takes the rest, so the interpreter's last flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except AnalysisError as exc:
         print(f"analysis failed: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS

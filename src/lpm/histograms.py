@@ -6,14 +6,16 @@ so adc_max itself still lands in-grid.
 
 Voxels are held as compact columns (``VoxelTable``): an int32 tumor code, an
 int8 timepoint code and a float64 ADC, 13 bytes per voxel. CSV files are read
-in chunks of records, and binning is a single ``np.bincount``. A chunk of
-plain lines (ASCII, with no quote or NUL) is split into fields with numpy;
-from the first chunk that is not plain on, ``csv.reader`` reads the records.
-Every label column (tumor, cohort, timepoint, voxel) is coded one way: each
+in chunks, and binning is a single ``np.bincount``. A chunk of plain lines
+(ASCII, with no quote or NUL), read as a block of bytes that ends at a line
+break, is split into fields with numpy; from the first chunk that is not
+plain on, ``csv.reader`` reads the records.
+Every tumor, cohort and timepoint column is coded one way: each
 stripped field gets its int32 code in a dict that grows in first-appearance
 order, and one lookup array maps cohort and timepoint codes to canonical
 ones, -1 for an unknown label. A signal voxel is the combination of its
-four label codes. Numbers are parsed into float arrays in bulk.
+tumor, cohort and timepoint codes and its stripped voxel id. Numbers are
+parsed into float arrays in bulk.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ _TIMEPOINT_HOURS = {"baseline": "0", "followup": "72"}
 _TIMEPOINT_CODES = {"0": 0, "72": 1, "baseline": 0, "followup": 1}  # index into TIMEPOINTS
 _COHORT_CODES = {name: k for k, name in enumerate(COHORTS)}
 
-_CHUNK_ROWS = 2048  # CSV records (physical lines while they are plain) per chunk
+_CHUNK_BYTES = 1 << 17  # bytes per plain chunk, before the rest of its last line
+_CHUNK_ROWS = 2048  # records per chunk that csv.reader reads
 _FIELD_MAX = 1024  # widest requested field, in bytes, that a plain chunk holds
 
 
@@ -349,18 +352,19 @@ _VOXEL_COLUMNS = ["tumor_id", "cohort", "timepoint", "adc"]
 
 
 def _csv_chunks(path, columns):
-    """Stream a CSV file in chunks of at most _CHUNK_ROWS records.
+    """Stream a CSV file in chunks.
 
     Yields (lines, fields, short) per chunk: the line number of each record
     with every requested field, one array of raw fields per requested
     column, and (line, message) for the records that lack one. Blank lines
     are skipped. A record's line number is the physical line it ends on.
 
+    A chunk is _CHUNK_BYTES bytes and the rest of the line they end in.
     A chunk of plain lines (ASCII, with no quote or NUL, and every CR
     followed by LF) is split with numpy, and its fields are ASCII bytes.
     From the first chunk that is not plain to the end of the file,
-    csv.reader reads the records, and their fields are str objects. A
-    UTF-8 byte-order mark before the header is dropped.
+    csv.reader reads _CHUNK_ROWS records at a time, and their fields are
+    str objects. A UTF-8 byte-order mark before the header is dropped.
     """
     with open(path, "rb") as fh:
         header = fh.readline()
@@ -372,15 +376,14 @@ def _csv_chunks(path, columns):
         text = header.rstrip(b"\r\n").decode()
         wanted = _wanted(path, columns, text.split(",") if text else [])
         offset, base = bom + len(header), 1
-        while lines := list(islice(fh, _CHUNK_ROWS)):
-            buf = b"".join(lines)
+        while buf := fh.read(_CHUNK_BYTES) + fh.readline():
             chunk = _plain_chunk(buf, base, columns, wanted)
             if chunk is None:
                 yield from _reader_chunks(path, fh, offset, base, columns, wanted)
                 return
             yield chunk
             offset += len(buf)
-            base += len(lines)
+            base += buf.count(b"\n")  # each line but the file's last ends in LF
 
 
 def _wanted(path, columns, header):
@@ -448,7 +451,8 @@ def _fixed_width(data, lo, hi):
     size = hi - lo
     width = max(int(size.max(initial=0)), 1)
     fields = sliding_window_view(data, width)[lo]
-    fields *= np.arange(width) < size[:, None]  # zero the bytes past each field
+    if size.min(initial=width) < width:
+        fields *= np.arange(width) < size[:, None]  # zero the bytes past each field
     return fields.view(f"S{width}").ravel()
 
 
@@ -582,12 +586,12 @@ def load_signal_csv(path) -> VoxelLoadResult:
     of their first row.
     """
     errors = []
-    tumors, voxels = {}, {}  # tumor id -> code, voxel id -> code
+    tumors = {}  # tumor id -> code
     cohorts, cohort_of = _label_codes(_COHORT_CODES)
     timepoints, timepoint_of = _label_codes(_TIMEPOINT_CODES)
-    groups = {}  # (tumor, cohort, timepoint, voxel) codes -> group code
+    groups = {}  # (tumor, cohort, timepoint codes, stripped voxel id) -> group code
     parts = [[] for _ in range(7)]  # per row: group, b, signal; per group: line, labels
-    for lines, (*key, b_raw, s_raw), short in _csv_chunks(path, _SIGNAL_COLUMNS):
+    for lines, (*key, voxel, b_raw, s_raw), short in _csv_chunks(path, _SIGNAL_COLUMNS):
         b, b_bad = _floats(b_raw)
         s, s_bad = _floats(s_raw)
         ok = ~(b_bad | s_bad)
@@ -596,19 +600,24 @@ def load_signal_csv(path) -> VoxelLoadResult:
         errors.extend(sorted(short + [(line, _float_error(b) or _float_error(s))
                                       for line, b, s in bad]))
         label = np.array([_codes(column[ok], labels, np.int32) for column, labels
-                        in zip(key, (tumors, cohorts, timepoints, voxels))])
-        starts = np.flatnonzero(np.diff(label, prepend=-1).any(axis=0))
+                          in zip(key, (tumors, cohorts, timepoints))])
+        voxel = voxel[ok]
+        new = np.diff(label, prepend=-1).any(axis=0)
+        new[1:] |= voxel[1:] != voxel[:-1]
+        starts = np.flatnonzero(new)
         known = len(groups)
-        runs = zip(*label[:, starts].tolist())  # the label codes of each run of equal rows
-        g = np.fromiter((groups.setdefault(v, len(groups)) for v in runs), np.int64, len(starts))
+        # the label codes and voxel id of each run of equal rows
+        runs = zip(*label[:, starts].tolist(), map(_str, voxel[starts].tolist()))
+        g = np.fromiter((groups.setdefault((k, c, t, v.strip()), len(groups))
+                         for k, c, t, v in runs), np.int64, len(starts))
         g = np.repeat(g, np.diff(starts, append=label.shape[1]))
         code, first = np.unique(g, return_index=True)
         # codes follow first appearance: the chunk's new groups start at their first rows
         first = first[code >= known]
         for part, column in zip(parts, (g.astype(_narrowest(len(groups))), b[ok], s[ok],
-                                        lines[ok][first], *label[:3, first])):
+                                        lines[ok][first], *label[:, first])):
             part.append(column)
-    del groups, voxels  # freed before the fit
+    del groups  # freed before the fit
     # popped, so each column's chunks are freed once they are joined
     group, b, s, first_line, k, c, t = (
         _cat(parts.pop(0), dtype)

@@ -891,6 +891,43 @@ def _modules_after(tmp_path, code, package="scipy"):
     return done.stdout.splitlines()[-1].split()[2:]
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_0_with_every_artifact(self, pipeline, tmp_path,
+                                                       unbuffered):
+        """A reader that leaves, as `lpm report | head -1` does, is no input
+        error. Its end of the pipe is closed before the subcommand prints,
+        so the first write fails whether stdout is buffered or not."""
+        env = dict(os.environ, PYTHONPATH=str(Path(lpm.__file__).resolve().parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        out = tmp_path / "out"
+        commands = {
+            "fit": (["--model", pipeline / "model.json", "--histograms",
+                     pipeline / "histograms", "--cohort", "treated"],
+                    ["response_treated.csv"]),
+            "report": (["--model", pipeline / "model.json",
+                        "--response", pipeline / "response_treated.csv"],
+                       ["effect_bars.svg", "components.svg", "report.txt"]),
+        }
+        for command, (args, artifacts) in commands.items():
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                done = subprocess.run(
+                    [sys.executable, "-m", "lpm.cli", command, *map(str, args),
+                     "--seed", "3", "--out-dir", str(out)],
+                    stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+            finally:
+                os.close(write_end)
+            assert (command, done.returncode, done.stderr) == (command, 0, "")
+            for name in artifacts:
+                assert (out / name).stat().st_size > 0
+        assert (out / "response_treated.csv").read_bytes() == \
+            (pipeline / "response_treated.csv").read_bytes()
+
+
 class TestStartup:
     def test_cli_import_loads_no_scipy_stats(self, tmp_path):
         loaded = _modules_after(tmp_path, "import lpm.cli")

@@ -15,6 +15,10 @@ from lpm.histograms import (COHORTS, TIMEPOINTS, BinningConfig, Histogram2D,
                             write_histogram_json, write_voxel_csv)
 
 
+# plain-chunk byte budgets that end blocks mid-line, then the default
+BLOCKS = (1, 2, 3, 7, histograms._CHUNK_BYTES)
+
+
 def traced_peak(fn, *args):
     """(fn(*args), peak bytes tracemalloc saw allocated while it ran)."""
     tracemalloc.start()
@@ -332,10 +336,12 @@ class TestVoxelCsv:
                         "t2,control,0,-1\n"
                         "t2,control,0,0.002\n"
                         "t2,control,72,x\n")
-        loaded = load_voxel_csv(path)
-        assert loaded.records.tumor_ids == ("t\n1", "t2")
-        assert len(loaded.records) == 3
-        assert [line for line, _ in loaded.errors] == [5, 7]
+        for block in BLOCKS:
+            monkeypatch.setattr(histograms, "_CHUNK_BYTES", block)
+            loaded = load_voxel_csv(path)
+            assert loaded.records.tumor_ids == ("t\n1", "t2")
+            assert len(loaded.records) == 3
+            assert [line for line, _ in loaded.errors] == [5, 7]
 
     def test_field_wider_than_plain_chunks_hold(self, tmp_path, monkeypatch):
         monkeypatch.setattr(histograms, "_CHUNK_ROWS", 2)
@@ -346,10 +352,35 @@ class TestVoxelCsv:
                         "t1,control,0,x\n"
                         f"{wide},treated,72,0.002\n"
                         "t1,control,72,0.003\n")
-        loaded = load_voxel_csv(path)
-        assert loaded.records.tumor_ids == ("t1", wide)
-        assert loaded.records.adc.tolist() == [0.001, 0.002, 0.003]
-        assert loaded.errors == [(3, "could not convert string to float: 'x'")]
+        for block in BLOCKS:
+            monkeypatch.setattr(histograms, "_CHUNK_BYTES", block)
+            loaded = load_voxel_csv(path)
+            assert loaded.records.tumor_ids == ("t1", wide)
+            assert loaded.records.adc.tolist() == [0.001, 0.002, 0.003]
+            assert loaded.errors == [(3, "could not convert string to float: 'x'")]
+
+    def test_plain_blocks_end_at_every_byte(self, tmp_path, monkeypatch):
+        """A plain file reads the same whichever byte a block ends on: inside
+        a line, between CR and LF, in a blank line or in a last line with no
+        line break."""
+        path = tmp_path / "voxels.csv"
+        path.write_bytes(b"tumor_id,cohort,timepoint,adc\r\n"
+                         b"t1,control,0,0.001\r\n\r\n"
+                         b"t1,control,0,x\n"
+                         b"t2,treated,0,0.002\r\n"
+                         b"t2,treated,72\r\n"
+                         b"t1,control,72,0.003")
+        want = load_voxel_csv(path)
+        assert want.errors == [(4, "could not convert string to float: 'x'"),
+                               (6, "missing fields ['adc']")]
+        monkeypatch.setattr(histograms, "_reader_chunks", None)  # plain chunks only
+        for block in range(1, len(path.read_bytes())):
+            monkeypatch.setattr(histograms, "_CHUNK_BYTES", block)
+            loaded = load_voxel_csv(path)
+            for column in ("tumor", "timepoint", "adc", "tumor_ids", "cohorts"):
+                assert np.array_equal(getattr(loaded.records, column),
+                                      getattr(want.records, column))
+            assert loaded.errors == want.errors
 
     @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
     def test_undecodable_byte_names_its_line(self, tmp_path, end):

@@ -6,7 +6,7 @@ quantity fit; these properties hold for any trainable mask, including the
 all-frozen mask of a quantity fit. Its SQUAREM cycles must land where plain
 multiplicative steps would, or higher, and respect the map cap exactly.
 Histograms expanded into voxel or signal CSV files bin back to the same
-counts, whatever the loaders' chunk size, and both loaders return what a
+counts, whatever the loaders' chunk sizes, and both loaders return what a
 row-by-row csv.reader reference returns, whichever way a file is split.
 A selection sweep that stops once its stopping rule is decided picks what
 the rule picks on every candidate.
@@ -325,7 +325,17 @@ def cohorts(draw, ids=TUMOR_IDS):
     return binning, hists
 
 
-CHUNKS = st.sampled_from([1, 2, 3, 7, histograms._CHUNK_ROWS])
+# (csv.reader records, plain-chunk bytes) per chunk; a few bytes end blocks
+# mid-line, between CR and LF and inside a last line with no line break
+BLOCKS = (1, 2, 3, 7, histograms._CHUNK_BYTES)
+CHUNKS = st.tuples(st.sampled_from([1, 2, 3, 7, histograms._CHUNK_ROWS]),
+                   st.sampled_from(BLOCKS))
+
+
+def _chunk_size(chunk):
+    """Patch the loaders' chunk sizes to chunk, a (records, bytes) pair."""
+    rows, block = chunk
+    return mock.patch.multiple(histograms, _CHUNK_ROWS=rows, _CHUNK_BYTES=block)
 
 
 def _assert_same_histograms(binned, hists):
@@ -340,8 +350,7 @@ def _assert_same_histograms(binned, hists):
 @given(cohorts(), CHUNKS)
 def test_voxel_csv_roundtrip_bitwise(cohort, chunk):
     binning, hists = cohort
-    with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(histograms, "_CHUNK_ROWS", chunk):
+    with tempfile.TemporaryDirectory() as tmp, _chunk_size(chunk):
         path = Path(tmp) / "voxels.csv"
         write_voxel_csv(path, itertools.chain.from_iterable(map(histogram_to_voxels, hists)))
         loaded = load_voxel_csv(path)
@@ -354,8 +363,7 @@ def test_voxel_csv_roundtrip_bitwise(cohort, chunk):
 @given(cohorts(), B_VALUES, st.sampled_from([1.0, 1500.0]), CHUNKS)
 def test_signals_at_bin_centres_bin_back(cohort, b_values, s0, chunk):
     binning, hists = cohort
-    with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(histograms, "_CHUNK_ROWS", chunk):
+    with tempfile.TemporaryDirectory() as tmp, _chunk_size(chunk):
         path = Path(tmp) / "signals.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -398,8 +406,7 @@ def test_malformed_rows_reported_at_their_lines(cohort, chunk, data):
         line += len(re.findall(r"\r\n|\r|\n", text))
         if bad:
             expected.append(line)
-    with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(histograms, "_CHUNK_ROWS", chunk):
+    with tempfile.TemporaryDirectory() as tmp, _chunk_size(chunk):
         path = Path(tmp) / "voxels.csv"
         with open(path, "w", newline="") as fh:
             fh.write("tumor_id,cohort,timepoint,adc\r\n")
@@ -518,7 +525,7 @@ PAD = st.sampled_from(["", " ", "\t", "\x1c"])  # str.strip() removes each of th
 
 @st.composite
 def csv_files(draw, signals):
-    """(text of a voxel or signal CSV file, chunk size) mixing plain and unusual lines."""
+    """(text of a voxel or signal CSV file, chunk sizes) mixing plain and unusual lines."""
     header = histograms._SIGNAL_COLUMNS if signals else histograms._VOXEL_COLUMNS
     cohort_of = {t: draw(st.sampled_from(COHORTS)) for t in IDS}
     text = ",".join(header) + draw(st.sampled_from(["\n", "\r\n"]))
@@ -541,12 +548,11 @@ def csv_files(draw, signals):
         elif kind == "extra":
             fields.append("extra")
         text += _csv_text(fields).rstrip("\r\n") + draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    return text, draw(st.integers(1, 3))
+    return text, (draw(st.integers(1, 3)), draw(st.sampled_from(BLOCKS)))
 
 
 def _assert_loader_matches_reference(load, reference, text, chunk):
-    with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(histograms, "_CHUNK_ROWS", chunk):
+    with tempfile.TemporaryDirectory() as tmp, _chunk_size(chunk):
         path = Path(tmp) / "input.csv"
         path.write_bytes(text.encode())
         loaded = load(path)
@@ -591,4 +597,5 @@ def _reader_chunks_not_taken(*args):
 def test_plain_loaders_read_a_last_record_without_line_break(monkeypatch, load,
                                                              reference, text, chunk):
     monkeypatch.setattr(histograms, "_reader_chunks", _reader_chunks_not_taken)
-    _assert_loader_matches_reference(load, reference, text, chunk)
+    for block in BLOCKS:
+        _assert_loader_matches_reference(load, reference, text, (chunk, block))

@@ -14,7 +14,11 @@
 # ingest --voxels also reads fallback.csv, which the script writes with
 # CRLF endings, a quoted id that holds a comma, a non-ASCII id, a blank
 # line and one ADC that does not parse, so csv.reader reads it rather than
-# the numpy splitter of plain CSV chunks.
+# the numpy splitter of plain CSV chunks. It also reads late_fallback.csv,
+# a copy of the synth voxels.csv with a row whose quoted id holds a comma
+# and a row whose ADC does not parse appended, so csv.reader takes over
+# only after 11 MB of plain chunks and the rejected row's line number,
+# counted across them, lands in the digest.
 # select and validate run once more with --jobs 2 (into select_jobs2 and
 # validate_jobs2), so the digest also covers the process-pool path; the
 # script exits 1 after the digest if those differ from select and validate
@@ -65,6 +69,9 @@ printf '%s\r\n' tumor_id,cohort,timepoint,adc '"f,1",control,0,0.0011' \
     '"f,1",control,72,0.0012' '' 'fü,treated,0,0.0009' 'fü,treated,72,n/a' \
     'fü,treated,72,0.0016' >"$out/fallback.csv"
 lpm ingest --voxels "$out/fallback.csv" --out-dir "$out/ingest_fallback"
+cp "$out/synth/voxels.csv" "$out/late_fallback.csv"
+printf '%s\r\n' '"q,1",control,0,0.0011' 'q2,control,72,n/a' >>"$out/late_fallback.csv"
+lpm ingest --voxels "$out/late_fallback.csv" --out-dir "$out/ingest_late_fallback"
 sweeps() {  # <jobs> <out-dir suffix>
     lpm select --histograms "$hists" --k-max 5 $fast --jobs "$1" \
         --out-dir "$out/select$2"
