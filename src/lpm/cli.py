@@ -8,8 +8,9 @@ byte-identical outputs.
 
 Exit codes: 0 success, 1 analysis-level failure, 2 input error. Only main
 sets them: a subcommand returns nothing or raises AnalysisError or InputError.
-A stdout whose reader has gone (``lpm report ... | head -1``) is exit 0, since
-every artifact is written before main flushes stdout.
+A stdout whose reader has gone (``lpm report ... | head -1``) changes no exit
+code: what stdout shows is in the artifacts, so _say drops it and the run goes
+on, and a failed analysis still exits 1.
 
 The front end (argument parsing, --config, the run header and dispatch) loads
 no lpm module but lpm.errors, and no numpy, so ``lpm --help`` and a usage or
@@ -53,6 +54,18 @@ def _meta(args) -> dict:
     digest = hashlib.sha256(json.dumps(payload, sort_keys=True,
                                        default=str).encode()).hexdigest()[:16]
     return {"seed": args.seed, "config_hash": digest}
+
+
+def _say(text: str):
+    """Print text and flush stdout. Once the reader of stdout has gone, stdout
+    points at os.devnull: the artifacts hold what it would show, so neither
+    this nor the interpreter's last flush fails the run."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def write_csv(path: Path, meta: dict, table):
@@ -146,7 +159,7 @@ def cmd_ingest(args, out: Path, meta: dict):
         summary["tumors"][tumor_id] = {"voxels": h.total, "overflow": h.overflow,
                                        "warnings": list(h.warnings)}
     write_json(out / "ingest_summary.json", summary)
-    print(f"ingested {len(hists)} tumors, {len(loaded.errors)} rejected rows")
+    _say(f"ingested {len(hists)} tumors, {len(loaded.errors)} rejected rows")
 
 
 def cmd_synth(args, out: Path, meta: dict):
@@ -171,7 +184,7 @@ def cmd_synth(args, out: Path, meta: dict):
     if args.emit_voxels:
         write_voxel_csv(out / "voxels.csv",
                         chain.from_iterable(map(histogram_to_voxels, control + treated)))
-    print(f"generated {len(control)} control + {len(treated)} treated tumors")
+    _say(f"generated {len(control)} control + {len(treated)} treated tumors")
 
 
 def cmd_train(args, out: Path, meta: dict):
@@ -181,8 +194,8 @@ def cmd_train(args, out: Path, meta: dict):
                         args.n_treatment, _train_options(args))
     model.training_meta["run"] = meta
     write_model_json(out / "model.json", model)
-    print(f"trained model: {model.n_control} control + "
-          f"{model.n_treatment} treatment components")
+    _say(f"trained model: {model.n_control} control + "
+         f"{model.n_treatment} treatment components")
 
 
 def cmd_select(args, out: Path, meta: dict):
@@ -208,8 +221,8 @@ def cmd_select(args, out: Path, meta: dict):
         model = best_t.model
     model.training_meta["run"] = meta
     write_model_json(out / "model.json", model)
-    print(f"selected {model.n_control} control + "
-          f"{model.n_treatment} treatment components")
+    _say(f"selected {model.n_control} control + "
+         f"{model.n_treatment} treatment components")
 
 
 def cmd_fit(args, out: Path, meta: dict):
@@ -247,8 +260,8 @@ def cmd_fit(args, out: Path, meta: dict):
     table.append(["combined"] + cells + [""] * (len(RESPONSE_COLUMNS) - 3))
     write_csv(out / f"response_{args.cohort}.csv", meta, table)
     if results:
-        print(f"scored {len(results)} {args.cohort} tumors, "
-              f"combined z = {combined.combined_z:.2f}")
+        _say(f"scored {len(results)} {args.cohort} tumors, "
+             f"combined z = {combined.combined_z:.2f}")
     if failures:
         raise AnalysisError("; ".join(failures))
 
@@ -264,10 +277,10 @@ def cmd_validate(args, out: Path, meta: dict):
                             args.n_treatment, _train_options(args), jobs=args.jobs)
     write_csv(out / "loo_report.csv", meta, loo_table(entries))
     outliers = [e for e in entries if e.outlier]
-    print(f"{len(entries)} folds, {len(outliers)} outlier flags")
+    _say(f"{len(entries)} folds, {len(outliers)} outlier flags")
     for e in outliers:
-        print(f"  outlier {shown_id(e.tumor_id)}: leave-one-out z={e.leave_one_out.z:.2f} "
-              f">= {OUTLIER_Z} and exceeds leave-all-in z={e.leave_all_in.z:.2f}")
+        _say(f"  outlier {shown_id(e.tumor_id)}: leave-one-out z={e.leave_one_out.z:.2f} "
+             f">= {OUTLIER_Z} and exceeds leave-all-in z={e.leave_all_in.z:.2f}")
     failed = [f"fold {shown_id(e.tumor_id)}: {e.error}" for e in entries if e.failed]
     if failed:
         raise AnalysisError("; ".join(failed))
@@ -278,7 +291,7 @@ def cmd_baseline(args, out: Path, meta: dict):
     cohorts = _load_cohorts(args.histograms)
     tests, combined = cohort_baseline(cohorts["control"], cohorts["treated"])
     write_csv(out / "baseline.csv", meta, baseline_table(tests, combined))
-    print(f"baseline combined z = {combined:.2f}")
+    _say(f"baseline combined z = {combined:.2f}")
 
 
 def _read_response(fh):
@@ -325,7 +338,7 @@ def cmd_report(args, out: Path, meta: dict):
                      f"effect={100 * r.effect_fraction:.2f}% "
                      f"+/- {100 * r.effect_fraction_sigma:.2f}%")
     (out / "report.txt").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
+    _say("\n".join(lines))
 
 
 def _parse_args(parser, argv):
@@ -446,12 +459,6 @@ def main(argv=None) -> int:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         args.func(args, out, _meta(args))
-        sys.stdout.flush()  # a closed stdout shows here, once every artifact is written
-    except BrokenPipeError:
-        # the reader of stdout has gone; what it missed is in the artifacts, and
-        # os.devnull takes the rest, so the interpreter's last flush cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
     except AnalysisError as exc:
         print(f"analysis failed: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS

@@ -132,6 +132,13 @@ def _str(field):
     return field.decode() if isinstance(field, bytes) else field
 
 
+def _runs(column, new=False):
+    """The first row of each run of equal neighbouring fields in column (a run
+    also starts where new is True), and each run's field as a stripped str."""
+    starts = np.flatnonzero(np.append(len(column) > 0, column[1:] != column[:-1]) | new)
+    return starts, [_str(v).strip() for v in column[starts].tolist()]
+
+
 def _codes(column, labels, dtype):
     """Code of each row's stripped field in labels, a dict from label to code.
 
@@ -139,12 +146,9 @@ def _codes(column, labels, dtype):
     follow first appearance. Each run of equal neighbouring fields is looked
     up once.
     """
-    n = len(column)
-    starts = np.flatnonzero(np.append(n > 0, column[1:] != column[:-1]))
-    keys = column[starts].tolist()
-    table = {v: labels.setdefault(_str(v).strip(), len(labels)) for v in dict.fromkeys(keys)}
-    codes = np.fromiter(map(table.__getitem__, keys), dtype, len(keys))
-    return np.repeat(codes, np.diff(starts, append=n))
+    starts, keys = _runs(column)
+    codes = np.fromiter((labels.setdefault(k, len(labels)) for k in keys), dtype, len(keys))
+    return np.repeat(codes, np.diff(starts, append=len(column)))
 
 
 def _label_codes(canonical):
@@ -601,15 +605,12 @@ def load_signal_csv(path) -> VoxelLoadResult:
                                       for line, b, s in bad]))
         label = np.array([_codes(column[ok], labels, np.int32) for column, labels
                           in zip(key, (tumors, cohorts, timepoints))])
-        voxel = voxel[ok]
-        new = np.diff(label, prepend=-1).any(axis=0)
-        new[1:] |= voxel[1:] != voxel[:-1]
-        starts = np.flatnonzero(new)
+        # the label codes and stripped voxel id of each run of equal rows
+        starts, voxels = _runs(voxel[ok], np.diff(label, prepend=-1).any(axis=0))
+        runs = zip(*label[:, starts].tolist(), voxels)
         known = len(groups)
-        # the label codes and voxel id of each run of equal rows
-        runs = zip(*label[:, starts].tolist(), map(_str, voxel[starts].tolist()))
-        g = np.fromiter((groups.setdefault((k, c, t, v.strip()), len(groups))
-                         for k, c, t, v in runs), np.int64, len(starts))
+        g = np.fromiter((groups.setdefault(run, len(groups)) for run in runs),
+                        np.int64, len(starts))
         g = np.repeat(g, np.diff(starts, append=label.shape[1]))
         code, first = np.unique(g, return_index=True)
         # codes follow first appearance: the chunk's new groups start at their first rows

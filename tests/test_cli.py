@@ -38,6 +38,34 @@ def exit_code(argv):
         return exc.code
 
 
+UNSCOREABLE_ERR = ("analysis failed: tumor trt02: 3 free parameters for 2 "
+                   "informative cells\n")
+
+
+def _unscoreable_cohort(tmp_path):
+    """Write model.json to tmp_path and return a directory of four treated
+    histograms, of which fit can score all but trt02."""
+    binning = BinningConfig(n_adc_bins=8)
+    P = np.zeros((16, 3))
+    P[:2, 0] = 0.5  # control: ADC bin 0 at both timepoints
+    P[2:10, 1] = 1 / 8
+    P[8:, 2] = 1 / 8  # treatment
+    write_model_json(tmp_path / "model.json",
+                     LpmModel(P=P, n_control=2, binning=binning))
+    hists = tmp_path / "h"
+    hists.mkdir()
+    rng = np.random.default_rng(0)
+    for i in (1, 2, 3, 4):
+        counts = rng.poisson(P @ [100.0, 400.0, 100.0 * i]).reshape(8, 2)
+        if i == 2:  # counts in bin 0 only: 2 informative cells, 3 quantities
+            counts = np.zeros((8, 2), dtype=int)
+            counts[0] = [30, 25]
+        write_histogram_json(hists / f"trt0{i}.json", Histogram2D(
+            tumor_id=f"trt0{i}", cohort="treated", counts=counts,
+            binning=binning))
+    return hists
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """synth -> train -> fit -> baseline -> report, shared across tests."""
@@ -461,29 +489,11 @@ class TestExitCodes:
         assert "zero on a populated cell" in capsys.readouterr().err
 
     def test_unscoreable_tumor_is_recorded_failed(self, tmp_path, capsys):
-        binning = BinningConfig(n_adc_bins=8)
-        P = np.zeros((16, 3))
-        P[:2, 0] = 0.5  # control: ADC bin 0 at both timepoints
-        P[2:10, 1] = 1 / 8
-        P[8:, 2] = 1 / 8  # treatment
-        write_model_json(tmp_path / "model.json",
-                         LpmModel(P=P, n_control=2, binning=binning))
-        hists = tmp_path / "h"
-        hists.mkdir()
-        rng = np.random.default_rng(0)
-        for i in (1, 2, 3, 4):
-            counts = rng.poisson(P @ [100.0, 400.0, 100.0 * i]).reshape(8, 2)
-            if i == 2:  # counts in bin 0 only: 2 informative cells, 3 quantities
-                counts = np.zeros((8, 2), dtype=int)
-                counts[0] = [30, 25]
-            write_histogram_json(hists / f"trt0{i}.json", Histogram2D(
-                tumor_id=f"trt0{i}", cohort="treated", counts=counts,
-                binning=binning))
+        hists = _unscoreable_cohort(tmp_path)
         response = tmp_path / "response_treated.csv"
         assert run(["fit", "--model", tmp_path / "model.json", "--histograms",
                     hists, "--out-dir", tmp_path]) == 1
-        assert capsys.readouterr().err == ("analysis failed: tumor trt02: 3 free "
-                                           "parameters for 2 informative cells\n")
+        assert capsys.readouterr().err == UNSCOREABLE_ERR
         header, *rows = csv.reader(response.read_text().splitlines()[1:])
         assert header == list(RESPONSE_COLUMNS)
         assert [r[0] for r in rows] == ["trt01", "trt02", "trt03", "trt04",
@@ -892,16 +902,30 @@ def _modules_after(tmp_path, code, package="scipy"):
 
 
 class TestClosedStdout:
-    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    def test_closed_stdout_exits_0_with_every_artifact(self, pipeline, tmp_path,
-                                                       unbuffered):
-        """A reader that leaves, as `lpm report | head -1` does, is no input
-        error. Its end of the pipe is closed before the subcommand prints,
-        so the first write fails whether stdout is buffered or not."""
+    """A reader that leaves, as `lpm report | head -1` does, changes no exit code.
+    Its end of the pipe is closed before the subcommand prints, so the first
+    write fails whether stdout is buffered or not."""
+
+    @staticmethod
+    def _run(command, args, out, unbuffered):
         env = dict(os.environ, PYTHONPATH=str(Path(lpm.__file__).resolve().parents[1]))
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "lpm.cli", command, *map(str, args),
+                 "--seed", "3", "--out-dir", str(out)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write_end)
+        return done.returncode, done.stderr
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_0_with_every_artifact(self, pipeline, tmp_path,
+                                                       unbuffered):
         out = tmp_path / "out"
         commands = {
             "fit": (["--model", pipeline / "model.json", "--histograms",
@@ -912,20 +936,22 @@ class TestClosedStdout:
                        ["effect_bars.svg", "components.svg", "report.txt"]),
         }
         for command, (args, artifacts) in commands.items():
-            read_end, write_end = os.pipe()
-            os.close(read_end)
-            try:
-                done = subprocess.run(
-                    [sys.executable, "-m", "lpm.cli", command, *map(str, args),
-                     "--seed", "3", "--out-dir", str(out)],
-                    stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
-            finally:
-                os.close(write_end)
-            assert (command, done.returncode, done.stderr) == (command, 0, "")
+            assert (command, *self._run(command, args, out, unbuffered)) == \
+                (command, 0, "")
             for name in artifacts:
                 assert (out / name).stat().st_size > 0
         assert (out / "response_treated.csv").read_bytes() == \
             (pipeline / "response_treated.csv").read_bytes()
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_keeps_analysis_failure(self, tmp_path, unbuffered):
+        """fit prints its scored line and then fails on trt02: exit 1, one
+        stderr line and no traceback, as with an open stdout."""
+        hists = _unscoreable_cohort(tmp_path)
+        out = tmp_path / "out"
+        assert self._run("fit", ["--model", tmp_path / "model.json", "--histograms",
+                                 hists], out, unbuffered) == (1, UNSCOREABLE_ERR)
+        assert (out / "response_treated.csv").stat().st_size > 0
 
 
 class TestStartup:
