@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from itertools import chain
@@ -127,12 +128,6 @@ def _histogram_dir(out: Path, tumor_ids) -> Path:
     return hist_dir
 
 
-def _binning_from_args(args):
-    from .histograms import BinningConfig
-    return BinningConfig(adc_min=args.adc_min, adc_max=args.adc_max,
-                         n_adc_bins=args.bins)
-
-
 def _train_options(args):
     from .model import TrainOptions
     return TrainOptions(seed=args.seed, restarts=args.restarts,
@@ -140,11 +135,11 @@ def _train_options(args):
 
 
 def cmd_ingest(args, out: Path, meta: dict):
-    from .histograms import (bin_voxels, load_signal_csv, load_voxel_csv,
+    from .histograms import (BinningConfig, bin_voxels, load_signal_csv, load_voxel_csv,
                              write_histogram_json, write_json)
     if bool(args.voxels) == bool(args.signals):
         raise InputError("ingest needs exactly one of --voxels and --signals")
-    config = _binning_from_args(args)
+    config = BinningConfig(adc_min=args.adc_min, adc_max=args.adc_max, n_adc_bins=args.bins)
     path = args.signals or args.voxels
     loaded = (load_signal_csv if args.signals else load_voxel_csv)(path)
     if not loaded.records:
@@ -206,15 +201,14 @@ def cmd_select(args, out: Path, meta: dict):
     treated = cohorts["treated"]
     opts = _train_options(args)
     curve_c, best_c = select_components(cohorts["control"], None, args.k_min,
-                                        args.k_max, opts, jobs=args.jobs)
+                                        args.k_max, opts)
     write_csv(out / "selection_control.csv", meta, selection_table(curve_c))
     (out / "selection_control.svg").write_text(svgplots.selection_curve_svg(curve_c))
     model = best_c.model
     if treated:
         k_min_t = model.n_control + 1
         curve_t, best_t = select_components(treated, model, k_min_t,
-                                            k_min_t + args.k_max - args.k_min,
-                                            opts, jobs=args.jobs)
+                                            k_min_t + args.k_max - args.k_min, opts)
         write_csv(out / "selection_treatment.csv", meta, selection_table(curve_t))
         (out / "selection_treatment.svg").write_text(
             svgplots.selection_curve_svg(curve_t))
@@ -294,9 +288,16 @@ def cmd_baseline(args, out: Path, meta: dict):
     _say(f"baseline combined z = {combined:.2f}")
 
 
+def _finite(text: str) -> float:
+    """float(text), rejecting nan and +-inf; lpm fit writes neither."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def _read_response(fh):
     """The scored ResponseResults, the ids of failed tumors and the combined z
-    (None if it failed) of response_*.csv file fh."""
+    (None if it failed) of response_*.csv file fh; each number must be finite."""
     from .inference import ResponseResult
     results = []
     failed = []  # tumors fit could not score
@@ -310,10 +311,10 @@ def _read_response(fh):
                 failed.append(row["tumor_id"])
             continue
         if row["tumor_id"] == "combined":
-            combined_z = float(row["z"])
+            combined_z = _finite(row["z"])
             continue
         results.append(ResponseResult(tumor_id=row["tumor_id"], **{
-            c: float(row[c]) for c in RESPONSE_COLUMNS[1:]}))
+            c: _finite(row[c]) for c in RESPONSE_COLUMNS[1:]}))
     return results, failed, combined_z
 
 
@@ -381,10 +382,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Treatment-response analysis of paired-timepoint ADC histograms")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def jobs(text):  # argparse names it in "invalid jobs value: ..."
+        n = int(text)
+        if n < 1:
+            raise argparse.ArgumentTypeError(f"jobs must be >= 1, got {n}")
+        return n
+
     def common(p):
         p.add_argument("--config", help="key=value configuration file")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=jobs, default=1)
         p.add_argument("--out-dir", default=".")
 
     def training(p):

@@ -56,27 +56,27 @@ class CohortSummary:
 
 # Cephes ndtr.c rational approximations, highest degree first: erfc(x) =
 # exp(-x^2) P(x)/Q(x) for 1 <= x < 8 and exp(-x^2) R(x)/S(x) beyond;
-# erf(x) = x T(x^2)/U(x^2) for |x| <= 1. Q, S and U have an implicit
-# leading 1.
+# erf(x) = x T(x^2)/U(x^2) for |x| <= 1. Cephes leaves the leading 1 of
+# Q, S and U implicit (p1evl); 1.0 * x is exact, so writing it changes no bit.
 _ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
            7.46321056442269912687E0, 4.86371970985681366614E1,
            1.96520832956077098242E2, 5.26445194995477358631E2,
            9.34528527171957607540E2, 1.02755188689515710272E3,
            5.57535335369399327526E2)
-_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
+_ERFC_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1,
            3.54937778887819891062E2, 9.75708501743205489753E2,
            1.82390916687909736289E3, 2.24633760818710981792E3,
            1.65666309194161350182E3, 5.57535340817727675546E2)
 _ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0,
            5.01905042251180477414E0, 6.16021097993053585195E0,
            7.40974269950448939160E0, 2.97886665372100240670E0)
-_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0,
+_ERFC_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0,
            1.20489539808096656605E1, 1.70814450747565897222E1,
            9.60896809063285878198E0, 3.36907645100081516050E0)
 _ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
           2.23200534594684319226E3, 7.00332514112805075473E3,
           5.55923013010394962768E4)
-_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2,
+_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2,
           4.59432382970980127987E3, 2.26290000613890934246E4,
           4.92673942608635921086E4)
 _MAXLOG = 7.09782712893383996843E2  # log(2**1024), Cephes' underflow cut for exp(-x*x)
@@ -91,14 +91,6 @@ def _polevl(x: float, coef) -> float:
     return ans
 
 
-def _p1evl(x: float, coef) -> float:
-    """As _polevl with an implicit leading coefficient 1 (Cephes p1evl)."""
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
 def erf(x: float) -> float:
     """Error function, Cephes erf; negative x as -erf(-x), as scipy's copy does."""
     if math.isnan(x):
@@ -108,7 +100,7 @@ def erf(x: float) -> float:
     if x > 1.0:
         return 1.0 - erfc(x)
     z = x * x
-    return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
 
 
 def erfc(a: float) -> float:
@@ -126,9 +118,9 @@ def erfc(a: float) -> float:
     if z >= -_MAXLOG:
         z = math.exp(z)
         if x < 8.0:
-            y = z * _polevl(x, _ERFC_P) / _p1evl(x, _ERFC_Q)
+            y = z * _polevl(x, _ERFC_P) / _polevl(x, _ERFC_Q)
         else:
-            y = z * _polevl(x, _ERFC_R) / _p1evl(x, _ERFC_S)
+            y = z * _polevl(x, _ERFC_R) / _polevl(x, _ERFC_S)
         if a < 0:
             y = 2.0 - y
         if y != 0.0:

@@ -448,37 +448,45 @@ def _purify_treatment(P, n_control):
     return P
 
 
+def _control_residual(control_model: LpmModel, cohort) -> np.ndarray:
+    """Positive residual of the cohort under control-only fits, normalised.
+
+    Random inits of a treatment PMF land anywhere on the likelihood ridge
+    where it blends in control shape (inflating treatment mass), so
+    train_treatment draws its columns around this residual instead.
+    """
+    if control_model.n_treatment != 0:
+        raise InputError("base model already has treatment components")
+    if not cohort:
+        raise InputError("treated cohort is empty")
+    H = _stack(cohort, control_model.binning)
+    residual = np.zeros(H.shape[1])
+    for i, h in enumerate(cohort):
+        q0, _ = fit_quantities(control_model, h, max_iter=2000, tol=1e-10)
+        residual += np.maximum(H[i] - control_model.P @ q0, 0.0)
+    if residual.sum() <= 0:
+        residual = np.ones(H.shape[1])
+    return residual / residual.sum()
+
+
 def train_treatment(control_model: LpmModel, cohort, n_treatment: int,
-                    opts: TrainOptions = TrainOptions()) -> TrainResult:
+                    opts: TrainOptions = TrainOptions(), residual=None) -> TrainResult:
     """Extend a control model with treatment components learnt from a cohort.
 
     Control PMFs are held fixed; only treatment PMFs and the per-histogram
     quantities (control and treatment alike) are optimised. The returned
-    quantities are EM's, under the PMFs before _purify_treatment.
+    quantities are EM's, under the PMFs before _purify_treatment. residual
+    is _control_residual(control_model, cohort), computed here when None.
     """
-    if control_model.n_treatment != 0:
-        raise InputError("base model already has treatment components")
     if n_treatment < 1:
         raise InputError(f"n_treatment must be >= 1, got {n_treatment}")
-    if not cohort:
-        raise InputError("treated cohort is empty")
+    if residual is None:
+        residual = _control_residual(control_model, cohort)
     binning = control_model.binning
     H = _stack(cohort, binning)
     n_cells = binning.n_cells
     n_control = control_model.n_control
     P_control = control_model.P
-
-    # Treatment components describe variability the control model cannot
-    # absorb. Random inits land anywhere on the likelihood ridge where a
-    # treatment PMF blends in control shape (inflating treatment mass), so
-    # seed them from the positive residual of a control-only fit instead.
-    residual = np.zeros(n_cells)
-    for i, h in enumerate(cohort):
-        q0, _ = fit_quantities(control_model, h, max_iter=2000, tol=1e-10)
-        residual += np.maximum(H[i] - P_control @ q0, 0.0)
-    if residual.sum() <= 0:
-        residual = np.ones(n_cells)
-    residual = residual / residual.sum()
 
     def draw_column(rng):
         p = residual * rng.gamma(4.0, size=n_cells)

@@ -9,14 +9,12 @@ constant sigma^2 = 1/4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import AnalysisError, InputError
-from .model import (LpmModel, TrainOptions, check_jobs, fit_quantities,
-                    map_jobs, model_expectation, train_control,
-                    train_treatment)
+from .model import (LpmModel, TrainOptions, _control_residual, fit_quantities,
+                    model_expectation, train_control, train_treatment)
 
 SQRT_VARIANCE = 0.25
 # Minimum chi2/dof improvement that justifies another component. Adding a
@@ -123,14 +121,15 @@ def choose_component_count(points) -> int:
     return (tie[0] if tie else usable[-1]).n_components
 
 
-def _train_candidate(cohort, base_model, opts, k):
-    """(SelectionPoint, TrainResult) of one candidate component count."""
+def _train_candidate(cohort, base_model, opts, k, residual):
+    """(SelectionPoint, TrainResult) of one candidate component count;
+    residual seeds a treatment candidate (see train_treatment)."""
     if base_model is None:
         n_trainable, result = k, train_control(cohort, k, opts)
         quantities = result.quantities
     else:
         n_trainable = k - base_model.n_control
-        result = train_treatment(base_model, cohort, n_trainable, opts)
+        result = train_treatment(base_model, cohort, n_trainable, opts, residual)
         # EM's quantities predate purification; refit them under the model
         quantities = [fit_quantities(result.model, h,
                                      q_init=np.maximum(q, h.total * 1e-6))[0]
@@ -148,16 +147,16 @@ def _train_candidate(cohort, base_model, opts, k):
 
 
 def select_components(cohort, base_model, k_min: int, k_max: int,
-                      opts: TrainOptions = TrainOptions(), jobs: int = 1):
+                      opts: TrainOptions = TrainOptions()):
     """Sweep component counts and pick the most parsimonious near-minimum.
 
     With base_model None, k counts control components. Otherwise k counts
     all components: base_model's control ones plus the treatment ones
-    trained on them (so k starts above base_model.n_control). Candidates
-    are trained in ascending K, jobs at a time, until choose_component_count
-    is decided. The curve holds the candidates from k_min through the one
-    that decided it, or through k_max if none did; at most jobs - 1
-    candidates past that one are trained and dropped. Returns
+    trained on them (so k starts above base_model.n_control), every
+    candidate seeded from one _control_residual of the cohort. Candidates
+    are trained one at a time in ascending K until choose_component_count
+    is decided; the curve holds the candidates from k_min through the one
+    that decided it, or through k_max if none did. Returns
     (SelectionCurve, best TrainResult).
     """
     phase = "control" if base_model is None else "treatment"
@@ -166,17 +165,12 @@ def select_components(cohort, base_model, k_min: int, k_max: int,
         raise InputError(f"k_min must be >= {floor} for phase {phase}, got {k_min}")
     if k_max <= k_min:
         raise InputError(f"need k_max > k_min, got [{k_min}, {k_max}]")
-    check_jobs(jobs)
-    train = partial(_train_candidate, list(cohort), base_model, opts)
-    ks = range(k_min, k_max + 1)
+    cohort = list(cohort)
+    residual = None if base_model is None else _control_residual(base_model, cohort)
     outcomes = []
-    # each candidate's training depends on its own K only, so the curve cut
-    # at the deciding candidate, and the best model, are the same at any jobs
-    for start in range(0, len(ks), jobs):
-        outcomes += map_jobs(train, ks[start:start + jobs], jobs)
-        tie = _first_tie([point for point, _ in outcomes])
-        if tie:
-            outcomes = outcomes[:tie[1].n_components - k_min + 1]
+    for k in range(k_min, k_max + 1):
+        outcomes.append(_train_candidate(cohort, base_model, opts, k, residual))
+        if _first_tie([point for point, _ in outcomes]):
             break
     points = [point for point, _ in outcomes]
     chosen = choose_component_count(points)

@@ -54,17 +54,15 @@ class GroundTruth:
 
 
 def bump_pmf(binning: BinningConfig, center_baseline, center_followup,
-             width=None, baseline_weight=0.5, floor=0.0,
+             width=0.08, baseline_weight=0.5, floor=0.0,
              phase="control", index=0) -> ComponentPmf:
     """Component PMF made of one Gaussian bump per timepoint.
 
     Centers are in fractions of the ADC range; width is the bump standard
-    deviation in the same units (defaults to 0.08). floor mixes in a
-    uniform background, keeping every cell's expectation away from the
-    low-count regime where the square-root variance approximation degrades.
+    deviation in the same units. floor mixes in a uniform background,
+    keeping every cell's expectation away from the low-count regime where
+    the square-root variance approximation degrades.
     """
-    if width is None:
-        width = 0.08
     span = binning.adc_max - binning.adc_min
     x = (binning.centers - binning.adc_min) / span
     grid = np.empty((binning.n_adc_bins, 2))

@@ -472,6 +472,27 @@ class TestExitCodes:
                     "--response", path, "--out-dir", tmp_path]) == 2
         assert "p_two_tailed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    @pytest.mark.parametrize("column", ["z", "effect_fraction"])
+    def test_response_non_finite_is_input_error(self, pipeline, tmp_path, capsys,
+                                                column, value):
+        with open(pipeline / "response_treated.csv", newline="") as fh:
+            comment = fh.readline()
+            rows = list(csv.DictReader(fh))
+        rows[0][column] = value
+        path = tmp_path / "response.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(comment)
+            writer = csv.DictWriter(fh, RESPONSE_COLUMNS, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        assert run(["report", "--model", pipeline / "model.json",
+                    "--response", path, "--out-dir", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "non-finite" in err, err
+        assert not (tmp_path / "report.txt").exists()
+        assert not (tmp_path / "effect_bars.svg").exists()
+
     def test_model_zero_on_populated_cell_is_analysis_failure(self, pipeline,
                                                               tmp_path, capsys):
         model = json.loads((pipeline / "model.json").read_text())
@@ -597,6 +618,14 @@ class TestExitCodes:
                      "no histogram JSON files in", id="histograms-without-json"),
         pytest.param(["select", "--histograms", "{hists}", "--jobs", "0"],
                      "jobs must be >= 1", id="select-jobs-0"),
+        pytest.param(["fit", "--model", "{hists}", "--histograms", "{hists}",
+                      "--jobs", "0"], "jobs must be >= 1", id="fit-jobs-0"),
+        pytest.param(["baseline", "--histograms", "{hists}", "--jobs", "0"],
+                     "jobs must be >= 1", id="baseline-jobs-0"),
+        pytest.param(["ingest", "--voxels", "{voxels}", "--jobs", "0"],
+                     "jobs must be >= 1", id="ingest-jobs-0"),
+        pytest.param(["baseline", "--histograms", "{hists}", "--config", "{jobs_config}"],
+                     "jobs must be >= 1", id="config-jobs-0"),
         pytest.param(["validate", "--histograms", "{hists}", "--n-control", "3",
                       "--n-treatment", "2", "--jobs", "-2"] + FAST,
                      "jobs must be >= 1", id="validate-jobs-negative"),
@@ -611,9 +640,12 @@ class TestExitCodes:
         voxels.write_text("tumor_id,cohort,timepoint,adc\nt1,control,0,0.001\n")
         config = tmp_path / "run.cfg"
         config.write_text("seed = abc\n")
+        jobs_config = tmp_path / "jobs.cfg"
+        jobs_config.write_text("jobs = 0\n")
         (tmp_path / "empty").mkdir()
         paths = {"hists": pipeline / "histograms", "voxels": voxels,
-                 "config": config, "empty": tmp_path / "empty"}
+                 "config": config, "jobs_config": jobs_config,
+                 "empty": tmp_path / "empty"}
         argv = [a.format(**paths) for a in argv] + ["--out-dir", tmp_path]
         assert exit_code(argv) == 2
         err = capsys.readouterr().err

@@ -266,34 +266,30 @@ def sweep_points(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(sweep_points(), st.integers(1, 3))
-def test_sweep_stops_where_the_rule_is_decided(points, jobs):
+@given(sweep_points())
+def test_sweep_stops_where_the_rule_is_decided(points):
     trained = []
 
-    def train(cohort, base_model, opts, k):
+    def train(cohort, base_model, opts, k, residual):
         trained.append(k)
         return points[k - 1], k
 
-    def serial(fn, tasks, jobs):
-        return [fn(t) for t in tasks]
-
     usable = [p.n_components for p in points if p.converged and not p.degenerate]
-    with mock.patch.object(selection, "_train_candidate", train), \
-            mock.patch.object(selection, "map_jobs", serial):
+    with mock.patch.object(selection, "_train_candidate", train):
         if not usable:
             with pytest.raises(AnalysisError, match="all candidate models degenerate"):
                 choose_component_count(points)
             with pytest.raises(AnalysisError, match="all candidate models degenerate"):
-                select_components([], None, 1, len(points), jobs=jobs)
+                select_components([], None, 1, len(points))
+            assert trained == list(range(1, len(points) + 1))
             return
-        curve, best = select_components([], None, 1, len(points), jobs=jobs)
+        curve, best = select_components([], None, 1, len(points))
     chosen = choose_component_count(points)
     successors = [k for k in usable if k > chosen]
     stop = successors[0] if successors else len(points)
     assert curve.chosen == best == chosen
     assert curve.points == points[:stop]
-    assert trained == list(range(1, len(trained) + 1))
-    assert stop <= len(trained) <= min(stop + jobs - 1, len(points))
+    assert trained == list(range(1, stop + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -197,8 +197,8 @@ class TestSelectComponents:
 
     def test_treatment_candidate_refits_quantities_from_em(self, small_cohorts,
                                                            monkeypatch):
-        # per candidate and treated tumor: the control-only fit that seeds
-        # training, then the refit under the purified PMFs from EM's start
+        # per treated tumor, one control-only fit seeds every candidate; per
+        # candidate and tumor, a refit under the purified PMFs from EM's start
         control, treated = small_cohorts
         opts = TrainOptions(seed=0, restarts=1, max_iter=2000)
         base = train_control(control, 2, opts).model
@@ -214,7 +214,8 @@ class TestSelectComponents:
         curve, best = select_components(treated, base, 3, 4, opts)
         assert curve.phase == "treatment"
         assert [p.n_components for p in curve.points] == [3, 4]
-        assert starts.count(False) == starts.count(True) == 2 * len(treated)
+        assert starts.count(False) == len(treated)
+        assert starts.count(True) == 2 * len(treated)
         assert best.quantities.shape == (len(treated), curve.chosen)
 
     def test_sweep_stops_where_rule_decides(self, monkeypatch):
@@ -232,15 +233,6 @@ class TestSelectComponents:
         assert trained == [1, 2, 3]
         assert [p.n_components for p in curve.points] == [1, 2, 3]
         assert curve.chosen == 2 and best.model.n_control == 2
-
-    def test_jobs_do_not_change_stopped_sweep(self):
-        # jobs=2 trains K = 4 alongside K = 3 and drops it
-        opts = TrainOptions(seed=11, restarts=2, max_iter=5000)
-        (c1, b1), (c2, b2) = (select_components(_easy_cohort(), None, 1, 5, opts, jobs)
-                              for jobs in (1, 2))
-        assert c1 == c2
-        assert [p.n_components for p in c2.points] == [1, 2, 3]
-        assert np.array_equal(b1.model.P, b2.model.P)
 
     def test_over_parameterised_candidates_recorded_not_chosen(self):
         # 4 cells x 3 tumors: K = 1 leaves 6 dof, K = 2 and 3 none at all

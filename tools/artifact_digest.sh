@@ -20,7 +20,7 @@
 # only after 11 MB of plain chunks and the rejected row's line number,
 # counted across them, lands in the digest.
 # select and validate run once more with --jobs 2 (into select_jobs2 and
-# validate_jobs2), so the digest also covers the process-pool path; the
+# validate_jobs2), so the digest also covers validate's process pool; the
 # script exits 1 after the digest if those differ from select and validate
 # in any byte. train 3+2 also runs from train.cfg, which the script writes
 # with a UTF-8 byte-order mark, CRLF endings and a # comment, its first line
