@@ -348,17 +348,13 @@ def _parse_args(parser, argv):
     Each `key = value` line becomes `--key=value` (a bare `--key` for a true
     on/off flag) placed before argv, so argparse converts and checks the
     value and an explicit flag, occurring later, wins. Keys the subcommand
-    does not take are ignored. A UTF-8 byte-order mark before the first line
-    is dropped.
+    does not take are ignored.
     """
     args = parser.parse_args(argv)
     if not args.config:
         return args
     tokens = []
-    lines = read_input(args.config, "config file", list)
-    if lines:
-        lines[0] = lines[0].removeprefix("\ufeff")
-    for raw in lines:
+    for raw in read_input(args.config, "config file", list):
         raw = raw.strip()
         if not raw or raw.startswith("#"):
             continue

@@ -20,10 +20,11 @@ class InputError(LpmError, ValueError):
 
 
 def read_input(path, what, parse):
-    """parse(fh) of UTF-8 text file path, opened with newline=""; a file that
-    parse cannot read is an InputError naming path and `what` it should hold."""
+    """parse(fh) of UTF-8 text file path, opened with newline="" and without
+    a leading byte-order mark; a file that parse cannot read is an InputError
+    naming path and `what` it should hold."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             return parse(fh)
     except (KeyError, IndexError, ValueError, TypeError, csv.Error, RecursionError) as exc:
         problem = (f"{what} lacks key {exc}" if isinstance(exc, KeyError)

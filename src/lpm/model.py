@@ -518,25 +518,6 @@ def train_model(control, treated, n_control: int, n_treatment: int,
     return model
 
 
-def check_jobs(jobs: int) -> None:
-    """Reject a worker count below 1."""
-    if jobs < 1:
-        raise InputError(f"jobs must be >= 1, got {jobs}")
-
-
-def map_jobs(fn, tasks, jobs: int = 1) -> list:
-    """[fn(t) for t in tasks], in task order, run in jobs worker processes,
-    or in this one when jobs is 1; fn and the tasks need pickle only above 1.
-    """
-    check_jobs(jobs)
-    if jobs == 1:
-        return [fn(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks))
-
-
 def fit_quantities(model: LpmModel, h: Histogram2D, max_iter: int = 200000,
                    tol: float = 1e-12, q_init=None):
     """Fit component quantities to one histogram with PMFs fixed.

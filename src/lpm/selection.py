@@ -40,6 +40,11 @@ class SelectionPoint:
     degenerate: bool
     converged: bool
 
+    @property
+    def usable(self) -> bool:
+        """Converged and not degenerate: a point the selection rule reads."""
+        return self.converged and not self.degenerate
+
 
 @dataclass
 class SelectionCurve:
@@ -96,11 +101,10 @@ def _first_tie(points):
     """(point, successor) of the first usable point whose next usable
     successor improves chi2/dof by no more than TIE_TOLERANCE, or None.
 
-    Usable points are the converged, non-degenerate ones. The usable points
-    of a prefix of a sweep are a prefix of the sweep's usable points, so a
-    tie found in a prefix is the whole sweep's first tie.
+    The usable points of a prefix of a sweep are a prefix of the sweep's
+    usable points, so a tie found in a prefix is the whole sweep's first tie.
     """
-    usable = [p for p in points if p.converged and not p.degenerate]
+    usable = [p for p in points if p.usable]
     for p, successor in zip(usable, usable[1:]):
         if p.chi2_per_dof - successor.chi2_per_dof <= TIE_TOLERANCE:
             return p, successor
@@ -110,11 +114,11 @@ def _first_tie(points):
 def choose_component_count(points) -> int:
     """Pick the component count where the statistic stops improving.
 
-    Walk the converged, non-degenerate points in ascending K and stop at the
-    first whose successor improves chi2/dof by no more than TIE_TOLERANCE; if
-    the curve keeps improving to the end, the largest candidate wins.
+    Walk the usable points in ascending K and stop at the first whose
+    successor improves chi2/dof by no more than TIE_TOLERANCE; if the curve
+    keeps improving to the end, the largest candidate wins.
     """
-    usable = [p for p in points if p.converged and not p.degenerate]
+    usable = [p for p in points if p.usable]
     if not usable:
         raise AnalysisError("all candidate models degenerate or unconverged")
     tie = _first_tie(usable)

@@ -75,9 +75,9 @@ def selection_curve_svg(curve) -> str:
         return HEIGHT - MARGIN - y / y_max * (HEIGHT - 2 * MARGIN)
 
     def kind(p):
-        if p.degenerate:
-            return "degenerate"
-        return "usable" if p.converged else "unconverged"
+        if p.usable:
+            return "usable"
+        return "degenerate" if p.degenerate else "unconverged"
 
     out = _header()
     out += _axes(f"Model selection ({curve.phase} phase)",

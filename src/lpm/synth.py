@@ -54,9 +54,9 @@ class GroundTruth:
 
 
 def bump_pmf(binning: BinningConfig, center_baseline, center_followup,
-             width=0.08, baseline_weight=0.5, floor=0.0,
-             phase="control", index=0) -> ComponentPmf:
-    """Component PMF made of one Gaussian bump per timepoint.
+             width=0.08, floor=0.0, phase="control", index=0) -> ComponentPmf:
+    """Component PMF made of one Gaussian bump per timepoint, each holding
+    half of the mass.
 
     Centers are in fractions of the ADC range; width is the bump standard
     deviation in the same units. floor mixes in a uniform background,
@@ -69,8 +69,8 @@ def bump_pmf(binning: BinningConfig, center_baseline, center_followup,
     for t, center in enumerate([center_baseline, center_followup]):
         bump = np.exp(-0.5 * ((x - center) / width) ** 2)
         grid[:, t] = bump / bump.sum()
-    grid[:, 0] *= baseline_weight
-    grid[:, 1] *= 1.0 - baseline_weight
+    grid[:, 0] *= 0.5
+    grid[:, 1] *= 0.5
     grid /= grid.sum()
     if floor > 0:
         grid = (1.0 - floor) * grid + floor / grid.size
@@ -118,15 +118,15 @@ def generate(spec: SynthSpec):
     return control, treated, truth
 
 
-def spread_components(binning: BinningConfig, n_control: int, n_treatment: int,
-                      width=0.05):
-    """Evenly spread bump components over the ADC range.
+def spread_components(binning: BinningConfig, n_control: int, n_treatment: int):
+    """Evenly spread bump components of width 0.05 over the ADC range.
 
     Control components sit in the lower half of the range with a small
     follow-up shift; treatment components occupy the upper half and push
     follow-up mass toward the top of the range, so the two phases stay
     identifiable from the joint distribution.
     """
+    width = 0.05
     control = []
     for k in range(n_control):
         c = 0.10 + 0.36 * (k + 0.5) / n_control

@@ -14,7 +14,7 @@ from functools import partial
 
 from .errors import AnalysisError, InputError
 from .inference import ResponseResult, fit_and_score
-from .model import TrainOptions, check_jobs, map_jobs, train_model
+from .model import TrainOptions, train_model
 
 OUTLIER_Z = 2.0
 
@@ -57,9 +57,12 @@ def leave_one_out(control_cohort, treated_cohort, n_control: int,
                   jobs: int = 1) -> list:
     """Run the leave-all-in / leave-one-out protocol over a control cohort.
 
-    Returns one LooEntry per control tumor, in cohort order.
+    The folds run in this process at jobs 1 and in a pool of jobs worker
+    processes above it; either way the result is the same. Returns one
+    LooEntry per control tumor, in cohort order.
     """
-    check_jobs(jobs)
+    if jobs < 1:
+        raise InputError(f"jobs must be >= 1, got {jobs}")
     control_cohort = list(control_cohort)
     treated_cohort = list(treated_cohort)
     if len(control_cohort) < 3:
@@ -73,9 +76,16 @@ def leave_one_out(control_cohort, treated_cohort, n_control: int,
     full_model = train_model(control_cohort, treated_cohort,
                              n_control, n_treatment, opts)
     lai = [fit_and_score(full_model, h) for h in control_cohort]
-    folds = map_jobs(partial(_run_fold, control_cohort, treated_cohort,
-                             n_control, n_treatment, opts),
-                     range(len(control_cohort)), jobs)
+    run_fold = partial(_run_fold, control_cohort, treated_cohort,
+                       n_control, n_treatment, opts)
+    ks = range(len(control_cohort))
+    if jobs == 1:
+        folds = list(map(run_fold, ks))
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            folds = list(pool.map(run_fold, ks))
     return [LooEntry(tumor_id=h.tumor_id, leave_all_in=r, leave_one_out=loo, error=err)
             for h, r, (_, loo, err) in zip(control_cohort, lai, folds)]
 

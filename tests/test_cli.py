@@ -148,6 +148,34 @@ class TestPipeline:
         assert lines[4].startswith("  'trt\\n01': z=")
         assert len(lines) == 4 + 9
 
+    @pytest.mark.parametrize("case", ["histogram", "model", "response"])
+    def test_bom_led_input_writes_plain_run_bytes(self, pipeline, tmp_path, case):
+        """An input file that starts with a UTF-8 byte-order mark is read as
+        the same file without it."""
+        def bom_copy(src, dst):
+            dst.write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+            return dst
+
+        hists, model = pipeline / "histograms", pipeline / "model.json"
+        if case == "histogram":
+            hists = tmp_path / "histograms"
+            shutil.copytree(pipeline / "histograms", hists)
+            bom_copy(pipeline / "histograms" / "ctl01.json", hists / "ctl01.json")
+            argv, outputs = ["baseline", "--histograms", hists], ["baseline.csv"]
+        elif case == "model":
+            argv = ["fit", "--model", bom_copy(model, tmp_path / "model.json"),
+                    "--histograms", hists, "--cohort", "treated"]
+            outputs = ["response_treated.csv"]
+        else:
+            response = bom_copy(pipeline / "response_treated.csv",
+                                tmp_path / "response_treated.csv")
+            argv = ["report", "--model", model, "--response", response]
+            outputs = ["report.txt", "effect_bars.svg", "components.svg"]
+        out = tmp_path / "out"
+        assert run(argv + ["--seed", "3", "--out-dir", out]) == 0
+        for name in outputs:
+            assert (out / name).read_bytes() == (pipeline / name).read_bytes(), name
+
 
 class TestHistogramDirectory:
     def test_model_in_histogram_dir_is_skipped(self, pipeline, tmp_path):

@@ -1,6 +1,5 @@
 import json
 import re
-from functools import partial
 
 import numpy as np
 import pytest
@@ -13,9 +12,9 @@ from lpm import model as model_module
 from lpm.errors import AnalysisError, InputError
 from lpm.histograms import BinningConfig, Histogram2D
 from lpm.model import (ComponentPmf, LpmModel, TrainOptions, _nnls,
-                       _purify_treatment, fit_quantities, map_jobs,
-                       model_expectation, read_model_json, train_control,
-                       train_model, train_treatment, write_model_json)
+                       _purify_treatment, fit_quantities, model_expectation,
+                       read_model_json, train_control, train_model,
+                       train_treatment, write_model_json)
 
 
 class TestComponentPmf:
@@ -425,15 +424,3 @@ class TestModelExpectation:
         m = make_model(small_binning, n_control=2)
         with pytest.raises(ValueError):
             model_expectation(m, [1.0, 2.0, 3.0])
-
-
-class TestMapJobs:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_results_in_task_order(self, jobs):
-        tasks = [9, 0, 5, 1, 7, 3]
-        assert map_jobs(partial(pow, 2), tasks, jobs) == [2 ** t for t in tasks]
-
-    @pytest.mark.parametrize("jobs", [0, -1])
-    def test_jobs_below_one_rejected(self, jobs):
-        with pytest.raises(InputError, match="jobs must be >= 1"):
-            map_jobs(partial(pow, 2), [1], jobs)

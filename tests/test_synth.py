@@ -22,10 +22,6 @@ class TestBumpPmf:
         p = bump_pmf(binning, 0.2, 0.2, width=0.02, floor=0.06)
         assert p.probs.min() >= 0.06 / 64 * 0.99
 
-    def test_baseline_weight(self, binning):
-        p = bump_pmf(binning, 0.3, 0.5, baseline_weight=0.7)
-        assert p.probs[:, 0].sum() == pytest.approx(0.7)
-
 
 class TestSynthSpec:
     def test_alpha_length_checked(self, binning):

@@ -25,8 +25,13 @@
 # in any byte. train 3+2 also runs from train.cfg, which the script writes
 # with a UTF-8 byte-order mark, CRLF endings and a # comment, its first line
 # n_treatment = 2 (into train_config); the script exits 1 after the digest
-# if that model.json differs from train_3_2's in any byte. Run it on two
-# trees and diff the outputs to compare their artifacts byte for byte.
+# if that model.json differs from train_3_2's in any byte. fit, report and
+# baseline also read copies of model.json, response_treated.csv and one
+# histogram that start with a UTF-8 byte-order mark (in bom_inputs; into
+# bom_fit, bom_report and bom_baseline); the script exits 1 after the
+# digest if those outputs differ from train_3_2's response_treated.csv,
+# report and baseline in any byte. Run it on two trees and diff the outputs
+# to compare their artifacts byte for byte.
 # <out-dir> must not exist yet.
 set -eu
 if [ $# -ne 2 ]; then
@@ -95,6 +100,20 @@ done
 lpm baseline --histograms "$hists" --out-dir "$out/baseline"
 lpm report --model "$out/train_3_2/model.json" \
     --response "$out/train_3_2/response_treated.csv" --out-dir "$out/report"
+bom=$out/bom_inputs
+mkdir "$bom"
+cp -R "$hists" "$bom/histograms"
+bom_copy() {  # <file> <copy>
+    { printf '\357\273\277'; cat "$1"; } >"$2"
+}
+bom_copy "$hists/ctl01.json" "$bom/histograms/ctl01.json"
+bom_copy "$out/train_3_2/model.json" "$bom/model.json"
+bom_copy "$out/train_3_2/response_treated.csv" "$bom/response_treated.csv"
+lpm fit --model "$bom/model.json" --histograms "$hists" --cohort treated \
+    --out-dir "$out/bom_fit"
+lpm report --model "$out/train_3_2/model.json" \
+    --response "$bom/response_treated.csv" --out-dir "$out/bom_report"
+lpm baseline --histograms "$bom/histograms" --out-dir "$out/bom_baseline"
 
 cd "$out"
 find . -type f | LC_ALL=C sort | sed 's|^\./||' | while IFS= read -r f; do
@@ -108,5 +127,11 @@ for d in select validate; do
 done
 if ! cmp -s train_config/model.json train_3_2/model.json; then
     echo "$0: train_config/model.json differs from train_3_2/model.json" >&2
+    exit 1
+fi
+if ! cmp -s train_3_2/response_treated.csv bom_fit/response_treated.csv \
+        || ! diff -r report bom_report >/dev/null \
+        || ! diff -r baseline bom_baseline >/dev/null; then
+    echo "$0: a byte-order mark changed bom_fit, bom_report or bom_baseline" >&2
     exit 1
 fi
