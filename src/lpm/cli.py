@@ -8,9 +8,20 @@ byte-identical outputs.
 
 Exit codes: 0 success, 1 analysis-level failure, 2 input error. Only main
 sets them: a subcommand returns nothing or raises AnalysisError or InputError.
-A stdout whose reader has gone (``lpm report ... | head -1``) changes no exit
-code: what stdout shows is in the artifacts, so _say drops it and the run goes
-on, and a failed analysis still exits 1.
+A stdout whose reader has gone (``lpm report ... | head -1``, ``lpm --help |
+head -1``) changes no exit code: what stdout shows is in the artifacts or the
+help text, so _stdout drops it and the run goes on, and a failed analysis
+still exits 1.
+
+An lpm process enters at run_and_exit (``python -m lpm.cli`` and the ``lpm``
+script alike). It runs main, takes argparse's exit status for --help and
+usage errors, flushes stdout and stderr and ends with os._exit, which skips
+interpreter finalization: freeing numpy and the other loaded modules costs a
+process tens of milliseconds after its work is done. That is safe only while
+three things hold: every artifact is written and closed inside main, the
+leave-one-out pool is joined before main returns, and nothing registers
+atexit work. Code that calls main itself (tests, perfbench's traced runs,
+library callers) gets the exit code back, and its process exits as usual.
 
 The front end (argument parsing, --config, the run header and dispatch) loads
 no lpm module but lpm.errors, and no numpy, so ``lpm --help`` and a usage or
@@ -57,16 +68,20 @@ def _meta(args) -> dict:
     return {"seed": args.seed, "config_hash": digest}
 
 
-def _say(text: str):
-    """Print text and flush stdout. Once the reader of stdout has gone, stdout
-    points at os.devnull: the artifacts hold what it would show, so neither
-    this nor the interpreter's last flush fails the run."""
+def _stdout(call, *args):
+    """call(*args), which writes to or flushes stdout. Once the reader of
+    stdout has gone, stdout points at os.devnull: the artifacts hold what it
+    would show, so no later write or flush fails the run."""
     try:
-        print(text, flush=True)
+        call(*args)
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+
+
+def _say(text: str):
+    _stdout(print, text)
 
 
 def write_csv(path: Path, meta: dict, table):
@@ -471,5 +486,18 @@ def main(argv=None) -> int:
     return EXIT_OK
 
 
+def run_and_exit(argv=None):
+    """The process entry: main's exit code, or argparse's for --help and usage
+    errors, after stdout and stderr are flushed; ends by os._exit (see the
+    module docstring). An unexpected exception propagates with its traceback."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    _stdout(sys.stdout.flush)
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run_and_exit()

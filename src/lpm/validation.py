@@ -58,8 +58,8 @@ def leave_one_out(control_cohort, treated_cohort, n_control: int,
     """Run the leave-all-in / leave-one-out protocol over a control cohort.
 
     The folds run in this process at jobs 1 and in a pool of jobs worker
-    processes above it; either way the result is the same. Returns one
-    LooEntry per control tumor, in cohort order.
+    processes, at most one per fold, above it; either way the result is the
+    same. Returns one LooEntry per control tumor, in cohort order.
     """
     if jobs < 1:
         raise InputError(f"jobs must be >= 1, got {jobs}")
@@ -84,7 +84,7 @@ def leave_one_out(control_cohort, treated_cohort, n_control: int,
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(control_cohort))) as pool:
             folds = list(pool.map(run_fold, ks))
     return [LooEntry(tumor_id=h.tumor_id, leave_all_in=r, leave_one_out=loo, error=err)
             for h, r, (_, loo, err) in zip(control_cohort, lai, folds)]

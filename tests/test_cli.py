@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import io
@@ -8,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tomllib
 from functools import reduce
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 import lpm
 from lpm import model as lpm_model
-from lpm.cli import RESPONSE_COLUMNS, _load_cohorts, main
+from lpm.cli import RESPONSE_COLUMNS, _load_cohorts, main, run_and_exit
 from lpm.errors import AnalysisError
 from lpm.histograms import BinningConfig, Histogram2D, write_histogram_json
 from lpm.model import LpmModel, write_model_json
@@ -1012,6 +1014,69 @@ class TestClosedStdout:
         assert self._run("fit", ["--model", tmp_path / "model.json", "--histograms",
                                  hists], out, unbuffered) == (1, UNSCOREABLE_ERR)
         assert (out / "response_treated.csv").stat().st_size > 0
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_help_exits_0(self, tmp_path, unbuffered):
+        assert self._run("--help", [], tmp_path / "out", unbuffered) == (0, "")
+
+
+class _Exited(Exception):
+    """Raised in place of os._exit, carrying its code."""
+
+
+class TestProcessEntry:
+    """run_and_exit, the entry of `python -m lpm.cli` and the lpm script,
+    hands main's code (or argparse's) to os._exit after its flushes."""
+
+    @pytest.mark.parametrize("case", ["ok", "input_error", "analysis_failure",
+                                      "help", "usage_error"])
+    def test_exit_code_handed_to_os_exit(self, pipeline, tmp_path, monkeypatch,
+                                         case):
+        hists = _unscoreable_cohort(tmp_path)
+        out = ["--out-dir", tmp_path / "out"]
+        argv, code = {
+            "ok": (["report", "--model", pipeline / "model.json", "--response",
+                    pipeline / "response_treated.csv"] + out, 0),
+            "input_error": (["report", "--model", tmp_path / "missing.json",
+                             "--response", tmp_path / "missing.csv"] + out, 2),
+            "analysis_failure": (["fit", "--model", tmp_path / "model.json",
+                                  "--histograms", hists] + out, 1),
+            "help": (["--help"], 0),
+            "usage_error": (["fit"], 2),
+        }[case]
+
+        def _exit(status):
+            raise _Exited(status)
+
+        monkeypatch.setattr(os, "_exit", _exit)
+        with pytest.raises(_Exited) as exited:
+            run_and_exit([str(a) for a in argv])
+        assert exited.value.args == (code,)
+
+    def test_buffered_stdout_reaches_a_pipe(self, pipeline, tmp_path):
+        """Without its flush before os._exit, report's buffered lines would be
+        lost."""
+        env = dict(os.environ, PYTHONPATH=str(Path(lpm.__file__).resolve().parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "lpm.cli", "report", "--model",
+             str(pipeline / "model.json"), "--response",
+             str(pipeline / "response_treated.csv"), "--out-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines() == \
+            (tmp_path / "report.txt").read_text().splitlines()
+
+    def test_script_and_module_share_the_entry(self):
+        root = Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as fh:
+            script = tomllib.load(fh)["project"]["scripts"]["lpm"]
+        tree = ast.parse((root / "src" / "lpm" / "cli.py").read_text())
+        guard, = (node for node in tree.body if isinstance(node, ast.If)
+                  and ast.unparse(node.test) == "__name__ == '__main__'")
+        call, = guard.body
+        assert script == f"lpm.cli:{ast.unparse(call.value.func)}"
+        assert ast.unparse(call) == "run_and_exit()"
 
 
 class TestStartup:

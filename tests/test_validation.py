@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 
 import pytest
@@ -120,3 +121,25 @@ class TestLeaveOneOut:
         with pytest.raises(InputError, match="jobs must be >= 1"):
             leave_one_out(control, treated, 1, 1, jobs=0)
         assert calls == []
+
+    def test_pool_has_at_most_one_worker_per_fold(self, monkeypatch):
+        workers = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        control, treated = _cohorts()
+        entries = leave_one_out(control[:3], treated, 1, 1,
+                                TrainOptions(seed=0, restarts=1, max_iter=500), jobs=4)
+        assert workers == [3]
+        assert [e.tumor_id for e in entries] == [h.tumor_id for h in control[:3]]
