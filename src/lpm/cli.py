@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
@@ -62,6 +61,7 @@ RESPONSE_COLUMNS = ("tumor_id", "z", "p_two_tailed", "effect_fraction",
 def _meta(args) -> dict:
     """The run seed and a hash of every parsed argument that shapes results."""
     import hashlib
+    import json
     payload = {k: v for k, v in vars(args).items() if k not in _UNHASHED_ARGS}
     digest = hashlib.sha256(json.dumps(payload, sort_keys=True,
                                        default=str).encode()).hexdigest()[:16]
@@ -120,6 +120,8 @@ def _load_cohorts(directory) -> dict:
 def _histogram_or_none(fh):
     """The histogram of JSON file fh, or None when it holds no object with a
     "counts" key."""
+    import json
+
     from .histograms import Histogram2D
     d = json.load(fh)
     return Histogram2D.from_json_dict(d) if isinstance(d, dict) and "counts" in d else None
@@ -399,19 +401,18 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"jobs must be >= 1, got {n}")
         return n
 
-    def common(p):
-        p.add_argument("--config", help="key=value configuration file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=jobs, default=1)
-        p.add_argument("--out-dir", default=".")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="key=value configuration file")
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--jobs", type=jobs, default=1)
+    common.add_argument("--out-dir", default=".")
+    training = argparse.ArgumentParser(add_help=False, parents=[common])
+    training.add_argument("--restarts", type=int, default=5)
+    training.add_argument("--max-iter", type=int, default=10000)
+    training.add_argument("--tol", type=float, default=1e-9)
 
-    def training(p):
-        p.add_argument("--restarts", type=int, default=5)
-        p.add_argument("--max-iter", type=int, default=10000)
-        p.add_argument("--tol", type=float, default=1e-9)
-
-    p = sub.add_parser("ingest", help="bin voxel or signal CSV into histograms")
-    common(p)
+    p = sub.add_parser("ingest", parents=[common],
+                       help="bin voxel or signal CSV into histograms")
     p.add_argument("--voxels", help="voxel CSV (tumor_id,cohort,timepoint,adc)")
     p.add_argument("--signals", help="signal CSV, ADC fitted per voxel")
     p.add_argument("--adc-min", type=float, default=0.0)
@@ -419,50 +420,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=32)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("synth", help="generate a synthetic cohort with ground truth")
-    common(p)
+    p = sub.add_parser("synth", parents=[common],
+                       help="generate a synthetic cohort with ground truth")
     p.add_argument("--preset", default="lovo_like")
     p.add_argument("--emit-voxels", action="store_true")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train a model at fixed component counts")
-    common(p)
-    training(p)
+    p = sub.add_parser("train", parents=[training],
+                       help="train a model at fixed component counts")
     p.add_argument("--histograms", required=True)
     p.add_argument("--n-control", type=int, required=True)
     p.add_argument("--n-treatment", type=int, default=0)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("select", help="sweep component counts and pick the best")
-    common(p)
-    training(p)
+    p = sub.add_parser("select", parents=[training],
+                       help="sweep component counts and pick the best")
     p.add_argument("--histograms", required=True)
     p.add_argument("--k-min", type=int, default=1)
     p.add_argument("--k-max", type=int, default=6)
     p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser("fit", help="fit a trained model and score responses")
-    common(p)
+    p = sub.add_parser("fit", parents=[common], help="fit a trained model and score responses")
     p.add_argument("--model", required=True)
     p.add_argument("--histograms", required=True)
     p.add_argument("--cohort", default="treated", choices=["control", "treated"])
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("validate", help="leave-one-out control validation")
-    common(p)
-    training(p)
+    p = sub.add_parser("validate", parents=[training], help="leave-one-out control validation")
     p.add_argument("--histograms", required=True)
     p.add_argument("--n-control", type=int, required=True)
     p.add_argument("--n-treatment", type=int, required=True)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("baseline", help="conventional t-test benchmark")
-    common(p)
+    p = sub.add_parser("baseline", parents=[common], help="conventional t-test benchmark")
     p.add_argument("--histograms", required=True)
     p.set_defaults(func=cmd_baseline)
 
-    p = sub.add_parser("report", help="render reports from prior outputs")
-    common(p)
+    p = sub.add_parser("report", parents=[common], help="render reports from prior outputs")
     p.add_argument("--model", required=True)
     p.add_argument("--response", required=True)
     p.set_defaults(func=cmd_report)

@@ -1,4 +1,9 @@
-"""Error propagation into quantity covariances, Z-scores and P-values.
+"""Goodness of fit and error propagation into quantity covariances, Z and P.
+
+The fit statistic compares square-root transformed counts against the model
+expectation. The square root maps Poisson counts onto approximately
+Gaussian variables of variance 1/4, so residuals are scored against a
+constant sigma^2 = 1/4.
 
 At the stationary point of the per-histogram extended likelihood the
 quantity estimates are implicit functions of the counts. With
@@ -25,9 +30,16 @@ import numpy as np
 
 from .errors import AnalysisError, InputError
 from .model import LpmModel, fit_quantities, model_expectation
-from .selection import GoodnessOfFit, chi2_statistic
 
+SQRT_VARIANCE = 0.25
 _ACTIVE_FRACTION = 1e-8  # of total quantity; below this q_k counts as zero
+
+
+@dataclass
+class GoodnessOfFit:
+    raw_chi2: float
+    dof: int
+    chi2_per_dof: float
 
 
 @dataclass
@@ -143,6 +155,23 @@ def ndtr(a: float) -> float:
 def two_tailed_p(z: float) -> float:
     """2 * norm.sf(|z|), capped at 1; scipy.stats computes norm.sf(x) as ndtr(-x)."""
     return min(1.0, 2.0 * ndtr(-abs(float(z))))
+
+
+def chi2_statistic(counts, expected, n_free_params: int = 0) -> GoodnessOfFit:
+    """Chi-squared per dof between one counts grid and its expectation.
+
+    Only cells with counts + expectation > 0 are informative and counted
+    toward the degrees of freedom.
+    """
+    H = np.asarray(counts, dtype=float).reshape(-1)
+    M = np.asarray(expected, dtype=float).reshape(-1)
+    active = (H + M) > 0
+    raw = float(np.sum((np.sqrt(H[active]) - np.sqrt(M[active])) ** 2) / SQRT_VARIANCE)
+    dof = int(active.sum()) - n_free_params
+    if dof <= 0:
+        raise AnalysisError(
+            f"{n_free_params} free parameters for {int(active.sum())} informative cells")
+    return GoodnessOfFit(raw_chi2=raw, dof=dof, chi2_per_dof=raw / dof)
 
 
 def quantity_covariance(model: LpmModel, h, q, chi2: GoodnessOfFit) -> QuantityCovariance:

@@ -1,10 +1,4 @@
-"""Goodness-of-fit statistic and component-count selection sweeps.
-
-The statistic compares square-root transformed counts against the model
-expectation. The square root maps Poisson counts onto approximately
-Gaussian variables of variance 1/4, so residuals are scored against a
-constant sigma^2 = 1/4.
-"""
+"""Cohort goodness of fit and component-count selection sweeps."""
 
 from __future__ import annotations
 
@@ -13,10 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnalysisError, InputError
+from .inference import GoodnessOfFit, chi2_statistic
 from .model import (LpmModel, TrainOptions, _control_residual, fit_quantities,
                     model_expectation, train_control, train_treatment)
 
-SQRT_VARIANCE = 0.25
 # Minimum chi2/dof improvement that justifies another component. Adding a
 # spurious non-parametric component always harvests somewhat more chi2 than
 # its nominal parameter count (the mixture likelihood-ratio statistic is
@@ -24,13 +18,6 @@ SQRT_VARIANCE = 0.25
 # true count; 0.1 sits above that while real components improve the
 # statistic by an order of magnitude more.
 TIE_TOLERANCE = 0.1
-
-
-@dataclass
-class GoodnessOfFit:
-    raw_chi2: float
-    dof: int
-    chi2_per_dof: float
 
 
 @dataclass
@@ -51,23 +38,6 @@ class SelectionCurve:
     points: list  # SelectionPoint, ascending n_components
     phase: str  # "control", or "treatment" for a sweep on a base model
     chosen: int
-
-
-def chi2_statistic(counts, expected, n_free_params: int = 0) -> GoodnessOfFit:
-    """Chi-squared per dof between one counts grid and its expectation.
-
-    Only cells with counts + expectation > 0 are informative and counted
-    toward the degrees of freedom.
-    """
-    H = np.asarray(counts, dtype=float).reshape(-1)
-    M = np.asarray(expected, dtype=float).reshape(-1)
-    active = (H + M) > 0
-    raw = float(np.sum((np.sqrt(H[active]) - np.sqrt(M[active])) ** 2) / SQRT_VARIANCE)
-    dof = int(active.sum()) - n_free_params
-    if dof <= 0:
-        raise AnalysisError(
-            f"{n_free_params} free parameters for {int(active.sum())} informative cells")
-    return GoodnessOfFit(raw_chi2=raw, dof=dof, chi2_per_dof=raw / dof)
 
 
 def chi2_per_dof(histograms, model: LpmModel, quantities,

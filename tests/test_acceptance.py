@@ -11,11 +11,11 @@ import pytest
 
 from lpm.baseline import cohort_baseline, combine_tests
 from lpm.histograms import BinningConfig, Histogram2D
-from lpm.inference import (combine_cohort, fit_and_score, quantity_covariance,
-                           two_tailed_p)
+from lpm.inference import (GoodnessOfFit, combine_cohort, fit_and_score,
+                           quantity_covariance, two_tailed_p)
 from lpm.model import (LpmModel, TrainOptions, fit_quantities, model_expectation,
                        train_control, train_treatment)
-from lpm.selection import GoodnessOfFit, select_components
+from lpm.selection import select_components
 from lpm.synth import SynthSpec, bump_pmf, default_scenarios, generate
 from lpm.validation import leave_one_out
 

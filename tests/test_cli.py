@@ -949,6 +949,11 @@ class TestDeterminism:
             assert (tmp_path / name).read_bytes() == first.read_bytes(), name
 
 
+# lpm's modules in import order: each imports only modules before it
+STACK = ("errors", "histograms", "model", "synth", "inference", "selection",
+         "validation", "baseline", "svgplots", "cli")
+
+
 def _modules_after(tmp_path, code, package="scipy"):
     """Modules of package a fresh interpreter has loaded after running code."""
     script = tmp_path / "probe.py"
@@ -1134,6 +1139,39 @@ class TestStartup:
         assert _modules_after(tmp_path, code, "numpy") == []
         assert "lpm.histograms" not in _modules_after(tmp_path, code, "lpm")
         assert _modules_after(tmp_path, code, "_hashlib") == []
+        assert _modules_after(tmp_path, code, "json") == []
+
+    def test_package_imports_form_one_stack(self):
+        """Each module imports, at any depth, only modules before it in STACK."""
+        package = Path(lpm.__file__).resolve().parent
+        assert sorted(STACK) == sorted(p.stem for p in package.glob("*.py")
+                                       if p.stem != "__init__")
+        for name in STACK:
+            tree = ast.parse((package / f"{name}.py").read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    imported = ([node.module] if node.module
+                                else [alias.name for alias in node.names])
+                    for other in imported:
+                        assert STACK.index(other) < STACK.index(name), \
+                            f"{name} imports {other}"
+
+    def test_scoring_commands_load_no_selection(self, pipeline, tmp_path):
+        code = ("from lpm.cli import main\n"
+                f"hists = {str(pipeline / 'histograms')!r}\n"
+                f"model = {str(pipeline / 'model.json')!r}\n"
+                "out = ['--out-dir', 'out']\n"
+                "codes = [main(['fit', '--model', model, '--histograms', hists] + out),\n"
+                "         main(['validate', '--histograms', hists, '--n-control', '1',\n"
+                "               '--n-treatment', '1', '--restarts', '1',\n"
+                "               '--max-iter', '200'] + out),\n"
+                "         main(['report', '--model', model, '--response',\n"
+                "               'out/response_treated.csv'] + out)]\n"
+                "assert codes == [0, 0, 0], codes")
+        loaded = _modules_after(tmp_path, code, "lpm")
+        assert {"lpm.inference", "lpm.validation", "lpm.svgplots"} <= set(loaded)
+        assert "lpm.selection" not in loaded
+        assert (tmp_path / "out" / "report.txt").is_file()
 
     def test_training_and_scoring_commands_load_no_scipy(self, pipeline, tmp_path):
         fast = ["--restarts", "1", "--max-iter", "200", "--out-dir", "out"]

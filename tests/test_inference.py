@@ -6,11 +6,11 @@ import scipy.special
 
 from conftest import make_model, poisson_histogram
 from lpm.errors import AnalysisError, InputError
-from lpm.inference import (combine_cohort, erf, erfc, fit_and_score, ndtr,
-                           quantity_covariance, response_result, two_tailed_p)
+from lpm.inference import (GoodnessOfFit, chi2_statistic, combine_cohort, erf, erfc,
+                           fit_and_score, ndtr, quantity_covariance, response_result,
+                           two_tailed_p)
 from lpm.histograms import BinningConfig, Histogram2D
 from lpm.model import LpmModel, fit_quantities, model_expectation
-from lpm.selection import GoodnessOfFit, chi2_statistic
 
 UNIT_CHI2 = GoodnessOfFit(raw_chi2=1.0, dof=1, chi2_per_dof=1.0)
 

@@ -31,10 +31,9 @@ from lpm import histograms, model, selection
 from lpm.errors import AnalysisError
 from lpm.histograms import (COHORTS, BinningConfig, Histogram2D, bin_voxels,
                             load_signal_csv, load_voxel_csv, write_voxel_csv)
-from lpm.inference import quantity_covariance
+from lpm.inference import GoodnessOfFit, quantity_covariance
 from lpm.model import LpmModel, _em
-from lpm.selection import (GoodnessOfFit, SelectionPoint, choose_component_count,
-                           select_components)
+from lpm.selection import SelectionPoint, choose_component_count, select_components
 from lpm.synth import histogram_to_voxels
 
 MAX_ITER = 300

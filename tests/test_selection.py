@@ -9,9 +9,9 @@ from lpm import selection
 from lpm.cli import write_csv
 from lpm.errors import AnalysisError
 from lpm.histograms import BinningConfig, Histogram2D
+from lpm.inference import SQRT_VARIANCE, chi2_statistic
 from lpm.model import TrainOptions, fit_quantities, train_control
-from lpm.selection import (SQRT_VARIANCE, SelectionPoint, chi2_per_dof,
-                           chi2_statistic, choose_component_count,
+from lpm.selection import (SelectionPoint, chi2_per_dof, choose_component_count,
                            select_components, selection_table)
 from lpm.svgplots import selection_curve_svg
 

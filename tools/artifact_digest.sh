@@ -30,8 +30,10 @@
 # histogram that start with a UTF-8 byte-order mark (in bom_inputs; into
 # bom_fit, bom_report and bom_baseline); the script exits 1 after the
 # digest if those outputs differ from train_3_2's response_treated.csv,
-# report and baseline in any byte. Run it on two trees and diff the outputs
-# to compare their artifacts byte for byte.
+# report and baseline in any byte. The help texts of lpm and of each
+# subcommand, at 80 columns, go under help, so the digest also covers the
+# parser. Run it on two trees and diff the outputs to compare their
+# artifacts byte for byte.
 # <out-dir> must not exist yet.
 set -eu
 if [ $# -ne 2 ]; then
@@ -52,6 +54,11 @@ lpm() {
 }
 
 fast="--restarts 1"
+mkdir "$out/help"
+for command in "" ingest synth train select fit validate baseline report; do
+    COLUMNS=80 PYTHONPATH="$src" python3 -m lpm.cli $command --help \
+        >"$out/help/lpm${command:+_$command}.txt"
+done
 hists=$out/synth/histograms
 lpm synth --preset lovo_like --emit-voxels --out-dir "$out/synth"
 lpm ingest --voxels "$out/synth/voxels.csv" --out-dir "$out/ingest"
